@@ -2,10 +2,13 @@
 
 Words are tuples of generator indices (the empty tuple is the identity),
 polynomials are sparse maps from words to exact rational coefficients, and
-all comparisons go through a weighted graded lexicographic order.  On top of
-the arithmetic this module provides reduction to normal form modulo a
-relation set, overlap (S-element) analysis, a Groebner-basis check, and a
-degree-bounded completion procedure.
+all comparisons go through a weighted graded lexicographic order.  The sparse
+arithmetic, the graded-order base, ``leading``, ``monic`` and the
+inter-reduction loop are shared with the PBW layer in ``solvable``.  On top
+of the arithmetic this module provides reduction to normal form modulo a
+relation set, overlap (S-element) analysis, a Groebner-basis check, a
+degree-bounded completion procedure, and the count of normal words by
+dynamic programming on Ufnarovski's overlap graph.
 """
 
 from __future__ import annotations
@@ -67,7 +70,26 @@ def find_subword(word: Word, pattern: Word, start: int = 0) -> int:
     return -1
 
 
-class WeightedOrder:
+class GradedOrder:
+    """Base of the weighted graded orders.
+
+    Holds the positive generator weights and compares through the subclass's
+    ``key``, which sorts ascending in the order with the weighted degree as
+    its first component.
+    """
+
+    def __init__(self, weights: Sequence[int]):
+        self.weights = tuple(int(w) for w in weights)
+        if not self.weights or any(w < 1 for w in self.weights):
+            raise InputError("weights must be positive integers")
+
+    def compare(self, u, v) -> int:
+        """-1, 0 or 1 as u precedes, equals or follows v."""
+        ku, kv = self.key(u), self.key(v)
+        return -1 if ku < kv else (0 if ku == kv else 1)
+
+
+class WeightedOrder(GradedOrder):
     """Graded lexicographic order on words.
 
     Compares weighted degree first; equal degrees are broken by reading the
@@ -77,9 +99,7 @@ class WeightedOrder:
     """
 
     def __init__(self, weights: Sequence[int], precedence: Optional[Sequence[int]] = None):
-        self.weights = tuple(int(w) for w in weights)
-        if not self.weights or any(w < 1 for w in self.weights):
-            raise InputError("weights must be positive integers")
+        super().__init__(weights)
         n = len(self.weights)
         if precedence is None:
             precedence = range(n)
@@ -105,11 +125,6 @@ class WeightedOrder:
         return (sum(self.weights[g] for g in word),
                 tuple(self._rank[g] for g in word))
 
-    def compare(self, u: Word, v: Word) -> int:
-        """-1, 0 or 1 as u precedes, equals or follows v."""
-        ku, kv = self.key(u), self.key(v)
-        return -1 if ku < kv else (0 if ku == kv else 1)
-
     def _check(self, word: Word) -> None:
         n = len(self.weights)
         for g in word:
@@ -117,23 +132,77 @@ class WeightedOrder:
                 raise InputError(f"unknown generator index {g}")
 
 
-class FreePoly:
-    """A finite rational combination of words; zero coefficients are never stored."""
+class SparsePoly:
+    """A finite rational combination of monomials (words or exponent
+    vectors); zero coefficients are never stored.  Equality is type-strict."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Mapping[Word, ScalarLike]] = None):
-        clean: dict[Word, Fraction] = {}
+    def __init__(self, terms: Optional[Mapping[tuple, ScalarLike]] = None):
+        clean: dict[tuple, Fraction] = {}
         if terms:
-            for word, coeff in terms.items():
+            for mono, coeff in terms.items():
                 c = scalar(coeff)
                 if c:
-                    clean[tuple(word)] = c
+                    clean[tuple(mono)] = c
         self.terms = clean
 
     @classmethod
-    def zero(cls) -> "FreePoly":
+    def _raw(cls, terms: dict[tuple, Fraction]):
+        """Wrap an already clean term dict without copying or coercing it."""
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        return poly
+
+    @classmethod
+    def zero(cls):
         return cls()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coeff(self, mono: tuple) -> Fraction:
+        return self.terms.get(tuple(mono), Fraction(0))
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __neg__(self):
+        return self._raw({m: -c for m, c in self.terms.items()})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            s = out.get(m, 0) + c
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+        return self._raw(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        c = scalar(other)
+        return self._raw({m: c * a for m, a in self.terms.items()} if c else {})
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.terms!r})"
+
+
+class FreePoly(SparsePoly):
+    """A finite rational combination of words."""
+
+    __slots__ = ()
 
     @classmethod
     def one(cls) -> "FreePoly":
@@ -143,59 +212,19 @@ class FreePoly:
     def word(cls, word: Iterable[int], coeff: ScalarLike = 1) -> "FreePoly":
         return cls({tuple(word): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, word: Word) -> Fraction:
-        return self.terms.get(tuple(word), Fraction(0))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FreePoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self) -> "FreePoly":
-        return FreePoly({w: -c for w, c in self.terms.items()})
-
-    def __add__(self, other: "FreePoly") -> "FreePoly":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        result = FreePoly()
-        result.terms = out
-        return result
-
-    def __sub__(self, other: "FreePoly") -> "FreePoly":
-        return self + (-other)
-
     def __mul__(self, other) -> "FreePoly":
-        if isinstance(other, FreePoly):
-            out: dict[Word, Fraction] = {}
-            for u, a in self.terms.items():
-                for v, b in other.terms.items():
-                    w = u + v
-                    s = out.get(w, 0) + a * b
-                    if s:
-                        out[w] = s
-                    else:
-                        out.pop(w, None)
-            result = FreePoly()
-            result.terms = out
-            return result
-        c = scalar(other)
-        return FreePoly({w: c * a for w, a in self.terms.items()})
-
-    def __rmul__(self, other) -> "FreePoly":
-        c = scalar(other)
-        return FreePoly({w: c * a for w, a in self.terms.items()})
+        if not isinstance(other, FreePoly):
+            return super().__mul__(other)
+        out: dict[Word, Fraction] = {}
+        for u, a in self.terms.items():
+            for v, b in other.terms.items():
+                w = u + v
+                s = out.get(w, 0) + a * b
+                if s:
+                    out[w] = s
+                else:
+                    out.pop(w, None)
+        return FreePoly._raw(out)
 
     def degree(self, weights: Sequence[int]) -> int:
         """Maximal weighted degree over the terms; raises on the zero polynomial."""
@@ -207,12 +236,9 @@ class FreePoly:
         degs = {word_degree(w, weights) for w in self.terms}
         return len(degs) <= 1
 
-    def __repr__(self):
-        return f"FreePoly({self.terms!r})"
 
-
-def leading(poly: FreePoly, order: WeightedOrder) -> tuple[Word, Fraction]:
-    """Leading (word, coefficient) pair of a nonzero polynomial."""
+def leading(poly: SparsePoly, order: GradedOrder) -> tuple[tuple, Fraction]:
+    """Leading (monomial, coefficient) pair of a nonzero polynomial."""
     if poly.is_zero():
         raise InputError("the zero polynomial has no leading term")
     lm = max(poly.terms, key=order.key)
@@ -228,11 +254,9 @@ def leading_homogeneous(poly: FreePoly, weights: Sequence[int]) -> FreePoly:
                      if word_degree(w, weights) == top})
 
 
-def monic(poly: FreePoly, order: WeightedOrder) -> FreePoly:
-    lm, lc = leading(poly, order)
-    if lc == 1:
-        return poly
-    return poly * (1 / lc)
+def monic(poly: SparsePoly, order: GradedOrder) -> SparsePoly:
+    _, lc = leading(poly, order)
+    return poly if lc == 1 else poly * (1 / lc)
 
 
 class RelationSet:
@@ -323,9 +347,7 @@ def normal_form(poly: FreePoly, rels: RelationSet, order: WeightedOrder) -> Free
                 work[w] = s
             else:
                 work.pop(w, None)
-    result = FreePoly()
-    result.terms = done
-    return result
+    return FreePoly._raw(done)
 
 
 def is_normal(poly: FreePoly, rels: RelationSet) -> bool:
@@ -407,19 +429,16 @@ def is_groebner(rels: RelationSet, order: WeightedOrder) -> GroebnerResult:
     return GroebnerResult(True)
 
 
-def interreduce(polys: Sequence[FreePoly], order: WeightedOrder) -> list[FreePoly]:
-    """Reduce each polynomial modulo the others until stable; monic output,
-    sorted by leading word."""
+def interreduce_with(polys: Sequence[SparsePoly], order: GradedOrder,
+                     reduce) -> list[SparsePoly]:
+    """Reduce each polynomial by the others with ``reduce(poly, others)``
+    until stable; monic output, sorted by leading monomial."""
     current = [monic(p, order) for p in polys if not p.is_zero()]
     changed = True
     while changed:
         changed = False
         for idx in range(len(current)):
-            rest = current[:idx] + current[idx + 1:]
-            if not rest:
-                continue
-            rels = RelationSet(rest, order)
-            reduced = normal_form(current[idx], rels, order)
+            reduced = reduce(current[idx], current[:idx] + current[idx + 1:])
             if reduced.is_zero():
                 current.pop(idx)
                 changed = True
@@ -431,6 +450,13 @@ def interreduce(polys: Sequence[FreePoly], order: WeightedOrder) -> list[FreePol
                 break
     current.sort(key=lambda p: order.key(leading(p, order)[0]))
     return current
+
+
+def interreduce(polys: Sequence[FreePoly], order: WeightedOrder) -> list[FreePoly]:
+    """Reduce each polynomial modulo the others until stable; monic output,
+    sorted by leading word."""
+    return interreduce_with(polys, order, lambda p, rest: (
+        normal_form(p, RelationSet(rest, order), order) if rest else p))
 
 
 COMPLETE = "complete"
@@ -474,36 +500,124 @@ def complete(rels: RelationSet, order: WeightedOrder,
     return reduced, (COMPLETE_UP_TO_BOUND if unresolved else COMPLETE)
 
 
-def normal_words(obstructions: Iterable[Word], weights: Sequence[int],
-                 max_degree: int) -> Iterator[Word]:
-    """All words of weighted degree <= max_degree avoiding every obstruction
-    as a subword, in length-lexicographic generation order."""
-    obst = [tuple(o) for o in obstructions]
-    longest = max((len(o) for o in obst), default=1)
-    ngens = len(weights)
+class MonomialAlgebra:
+    """Generators with weights plus a finite obstruction set of words.
 
-    def extend(word: Word, degree: int) -> Iterator[Word]:
-        yield word
+    Obstructions are inter-reduced on construction: any word containing
+    another obstruction as a subword is dropped.
+    """
+
+    def __init__(self, gen_names: Sequence[str], weights: Sequence[int],
+                 obstructions: Iterable[Word]):
+        self.gen_names = tuple(gen_names)
+        self.weights = tuple(int(w) for w in weights)
+        if len(self.gen_names) != len(self.weights):
+            raise InputError("one weight per generator required")
+        words = sorted({tuple(o) for o in obstructions}, key=lambda w: (len(w), w))
+        for w in words:
+            if not w:
+                raise InputError("the empty word cannot be an obstruction")
+            if any(g >= len(self.weights) for g in w):
+                raise InputError(f"obstruction {w} uses an unknown generator")
+        minimal: list[Word] = []
+        for w in words:
+            if not any(find_subword(w, o) >= 0 for o in minimal):
+                minimal.append(w)
+        self.obstructions: tuple[Word, ...] = tuple(minimal)
+
+    def is_normal(self, word: Word) -> bool:
+        return all(find_subword(word, o) < 0 for o in self.obstructions)
+
+    def __repr__(self):
+        return f"MonomialAlgebra({self.gen_names}, {self.weights}, {self.obstructions})"
+
+
+@dataclass(frozen=True)
+class UfnGraph:
+    """Overlap graph on normal words of length L-1 (L = max obstruction length).
+
+    Edges are (source, target, appended generator); target drops the source's
+    first letter and appends the generator, and the edge exists iff the full
+    length-L window is obstruction-free.
+    """
+
+    vertices: tuple[Word, ...]
+    edges: tuple[tuple[Word, Word, int], ...]
+    window: int
+
+
+def build_ufn_graph(mono: MonomialAlgebra) -> UfnGraph:
+    window = max((len(o) for o in mono.obstructions), default=1)
+    ngens = len(mono.weights)
+    vertices = tuple(w for w in itertools.product(range(ngens), repeat=window - 1)
+                     if mono.is_normal(w))
+    edges = []
+    for u in vertices:
         for g in range(ngens):
-            d = degree + weights[g]
-            if d > max_degree:
+            full = u + (g,)
+            if not mono.is_normal(full):
                 continue
-            new = word + (g,)
-            window = new[-longest:]
-            if any(find_subword(window, o) >= 0 for o in obst if len(o) <= len(new)):
-                continue
-            yield from extend(new, d)
+            edges.append((u, full[1:], g))
+    return UfnGraph(vertices, tuple(edges), window)
 
-    yield from extend(EMPTY, 0)
+
+@dataclass(frozen=True)
+class HilbertData:
+    coefficients: tuple[int, ...]
+
+    def __getitem__(self, q: int) -> int:
+        return self.coefficients[q]
+
+    def __len__(self):
+        return len(self.coefficients)
+
+
+def hilbert(mono: MonomialAlgebra, max_degree: int) -> HilbertData:
+    """Exact count of obstruction-free words per weighted degree 0..max_degree.
+
+    Words shorter than the graph window are enumerated directly; all longer
+    words correspond to paths in the overlap graph and are counted by
+    dynamic programming on (degree, end vertex).
+    """
+    if max_degree < 0:
+        raise InputError("degree must be >= 0")
+    graph = build_ufn_graph(mono)
+    weights = mono.weights
+    h = [0] * (max_degree + 1)
+
+    short_limit = graph.window - 1
+    for length in range(short_limit):
+        for w in itertools.product(range(len(weights)), repeat=length):
+            if not mono.is_normal(w):
+                continue
+            d = word_degree(w, weights)
+            if d <= max_degree:
+                h[d] += 1
+
+    vdeg = {v: word_degree(v, weights) for v in graph.vertices}
+    incoming: dict[Word, list[tuple[Word, int]]] = {v: [] for v in graph.vertices}
+    for u, v, g in graph.edges:
+        incoming[v].append((u, g))
+    ways = {v: [0] * (max_degree + 1) for v in graph.vertices}
+    for q in range(max_degree + 1):
+        for v in graph.vertices:
+            total = 1 if vdeg[v] == q else 0
+            for u, g in incoming[v]:
+                prev = q - weights[g]
+                if prev >= 0:
+                    total += ways[u][prev]
+            ways[v][q] = total
+        h[q] += sum(ways[v][q] for v in graph.vertices)
+    return HilbertData(tuple(h))
 
 
 def count_normal_words(obstructions: Iterable[Word], weights: Sequence[int],
                        max_degree: int) -> list[int]:
-    """Number of obstruction-free words at each weighted degree 0..max_degree."""
-    counts = [0] * (max_degree + 1)
-    for word in normal_words(obstructions, weights, max_degree):
-        counts[word_degree(word, weights)] += 1
-    return counts
+    """Number of obstruction-free words at each weighted degree 0..max_degree,
+    counted on the overlap graph by :func:`hilbert`."""
+    names = tuple(f"x{g}" for g in range(len(weights)))
+    mono = MonomialAlgebra(names, weights, obstructions)
+    return list(hilbert(mono, max_degree).coefficients)
 
 
 def format_word(word: Word, names: Sequence[str]) -> str:

@@ -115,9 +115,6 @@ class GDUAlgebra:
     def x2_weight(self) -> int:
         return self.order.weights[X2]
 
-    def supports_solvable(self) -> bool:
-        return self.params.lam * self.params.omega != 0 and self.deg_f >= 1
-
     def supports_graded(self) -> bool:
         return self.deg_f >= 1
 
@@ -259,15 +256,17 @@ def pbw_degree_counts(x2_weight: int, max_degree: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class PBWCheck:
+class RowCheck:
+    """Per-degree comparison of a computed count against an expected one."""
+
     ok: bool
-    rows: tuple[tuple[int, int, int], ...]  # (degree, normal words, exponent triples)
+    rows: tuple[tuple[int, int, int], ...]  # (degree, computed, expected)
 
     def __bool__(self):
         return self.ok
 
 
-def check_pbw(alg: GDUAlgebra, max_degree: int = 8) -> PBWCheck:
+def check_pbw(alg: GDUAlgebra, max_degree: int = 8) -> RowCheck:
     """Compare normal-word counts against PBW exponent counts per degree."""
     if max_degree < 0:
         raise InputError("degree must be >= 0")
@@ -275,7 +274,7 @@ def check_pbw(alg: GDUAlgebra, max_degree: int = 8) -> PBWCheck:
                                 max_degree)
     expected = pbw_degree_counts(alg.x2_weight, max_degree)
     rows = tuple((q, normal[q], expected[q]) for q in range(max_degree + 1))
-    return PBWCheck(all(n == e for _, n, e in rows), rows)
+    return RowCheck(all(n == e for _, n, e in rows), rows)
 
 
 def solvable_from_relations(relations: RelationSet, order: WeightedOrder,
@@ -320,6 +319,15 @@ def solvable_from_relations(relations: RelationSet, order: WeightedOrder,
     return SolvableAlgebra(names, weights, rules)
 
 
+def require_solvable(params: GDUParams) -> None:
+    """Raise HypothesisError unless lambda*omega != 0 and deg f >= 1, the
+    hypotheses of the solvable structure."""
+    if params.lam * params.omega == 0:
+        raise HypothesisError("hypothesis lambda*omega != 0 fails")
+    if params.deg_f < 1:
+        raise HypothesisError("hypothesis deg f >= 1 fails")
+
+
 def to_solvable(alg: GDUAlgebra) -> SolvableAlgebra:
     """The solvable polynomial algebra on the PBW basis a_2^i a_1^j a_3^l.
 
@@ -327,11 +335,8 @@ def to_solvable(alg: GDUAlgebra) -> SolvableAlgebra:
     (n, 1, n) on (a_2, a_1, a_3) with n = deg f, independent of the free
     algebra's weight scheme.
     """
-    if alg.params.lam * alg.params.omega == 0:
-        raise HypothesisError("solvable structure requires lambda*omega != 0")
+    require_solvable(alg.params)
     n = alg.deg_f
-    if n < 1:
-        raise HypothesisError("solvable structure requires deg f >= 1")
     sol = solvable_from_relations(
         alg.relations, alg.order, sequence=(X2, X1, X3),
         names=("X2", "X1", "X3"), weights=(n, 1, n))

@@ -1,24 +1,24 @@
 """Graded structure of a certified algebra: associated graded presentation,
 central homogenization, filtration dimensions, Hilbert series and growth.
 
-Hilbert coefficients are counted by dynamic programming over the overlap
-graph of normal words (no word enumeration); the graph's cycle structure
-also decides polynomial versus exponential growth and, for polynomial
-growth, the Gelfand-Kirillov dimension of the monomial algebra.
+Hilbert coefficients come from the overlap-graph counter of ``freealg``
+(``MonomialAlgebra``, ``hilbert``), re-exported here; the graph's cycle
+structure also decides polynomial versus exponential growth and, for
+polynomial growth, the Gelfand-Kirillov dimension of the monomial algebra.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import CertificationError, HypothesisError, InputError
-from .freealg import (FreePoly, GroebnerResult, RelationSet,
-                      WeightedOrder, find_subword, is_groebner,
-                      leading_homogeneous, word_degree, Word)
-from .gdu import (GDUAlgebra, X1, X2, X3, pbw_degree_counts,
-                  solvable_from_relations)
+from .freealg import (FreePoly, GroebnerResult, RelationSet, WeightedOrder,
+                      is_groebner, leading_homogeneous, word_degree, Word)
+from .freealg import (HilbertData, MonomialAlgebra, UfnGraph,  # noqa: F401 (re-exported)
+                      build_ufn_graph, hilbert)
+from .gdu import (GDUAlgebra, RowCheck, X1, X2, X3, pbw_degree_counts,
+                  require_solvable, solvable_from_relations)
 from .solvable import SolvableAlgebra, verify_solvable
 
 T = 3
@@ -26,117 +26,6 @@ HOMOG_GEN_NAMES = ("X1", "X2", "X3", "T")
 HOMOG_PRECEDENCE = (T, X2, X1, X3)  # T < X2 < X1 < X3
 HOMOG_LEADING_WORDS = frozenset({
     (X3, X1), (X1, X2), (X3, X2), (X1, T), (X2, T), (X3, T)})
-
-
-class MonomialAlgebra:
-    """Generators with weights plus a finite obstruction set of words.
-
-    Obstructions are inter-reduced on construction: any word containing
-    another obstruction as a subword is dropped.
-    """
-
-    def __init__(self, gen_names: Sequence[str], weights: Sequence[int],
-                 obstructions: Iterable[Word]):
-        self.gen_names = tuple(gen_names)
-        self.weights = tuple(int(w) for w in weights)
-        if len(self.gen_names) != len(self.weights):
-            raise InputError("one weight per generator required")
-        words = sorted({tuple(o) for o in obstructions}, key=lambda w: (len(w), w))
-        for w in words:
-            if not w:
-                raise InputError("the empty word cannot be an obstruction")
-            if any(g >= len(self.weights) for g in w):
-                raise InputError(f"obstruction {w} uses an unknown generator")
-        minimal: list[Word] = []
-        for w in words:
-            if not any(find_subword(w, o) >= 0 for o in minimal):
-                minimal.append(w)
-        self.obstructions: tuple[Word, ...] = tuple(minimal)
-
-    def is_normal(self, word: Word) -> bool:
-        return all(find_subword(word, o) < 0 for o in self.obstructions)
-
-    def __repr__(self):
-        return f"MonomialAlgebra({self.gen_names}, {self.weights}, {self.obstructions})"
-
-
-@dataclass(frozen=True)
-class UfnGraph:
-    """Overlap graph on normal words of length L-1 (L = max obstruction length).
-
-    Edges are (source, target, appended generator); target drops the source's
-    first letter and appends the generator, and the edge exists iff the full
-    length-L window is obstruction-free.
-    """
-
-    vertices: tuple[Word, ...]
-    edges: tuple[tuple[Word, Word, int], ...]
-    window: int
-
-
-def build_ufn_graph(mono: MonomialAlgebra) -> UfnGraph:
-    window = max((len(o) for o in mono.obstructions), default=1)
-    ngens = len(mono.weights)
-    vertices = tuple(w for w in itertools.product(range(ngens), repeat=window - 1)
-                     if mono.is_normal(w))
-    edges = []
-    for u in vertices:
-        for g in range(ngens):
-            full = u + (g,)
-            if not mono.is_normal(full):
-                continue
-            edges.append((u, full[1:], g))
-    return UfnGraph(vertices, tuple(edges), window)
-
-
-@dataclass(frozen=True)
-class HilbertData:
-    coefficients: tuple[int, ...]
-
-    def __getitem__(self, q: int) -> int:
-        return self.coefficients[q]
-
-    def __len__(self):
-        return len(self.coefficients)
-
-
-def hilbert(mono: MonomialAlgebra, max_degree: int) -> HilbertData:
-    """Exact count of obstruction-free words per weighted degree 0..max_degree.
-
-    Words shorter than the graph window are enumerated directly; all longer
-    words correspond to paths in the overlap graph and are counted by
-    dynamic programming on (degree, end vertex).
-    """
-    if max_degree < 0:
-        raise InputError("degree must be >= 0")
-    graph = build_ufn_graph(mono)
-    weights = mono.weights
-    h = [0] * (max_degree + 1)
-
-    short_limit = graph.window - 1
-    for length in range(short_limit):
-        for w in itertools.product(range(len(weights)), repeat=length):
-            if not mono.is_normal(w):
-                continue
-            d = word_degree(w, weights)
-            if d <= max_degree:
-                h[d] += 1
-
-    vdeg = {v: word_degree(v, weights) for v in graph.vertices}
-    incoming: dict[Word, list[tuple[Word, int]]] = {v: [] for v in graph.vertices}
-    for u, v, g in graph.edges:
-        incoming[v].append((u, g))
-    ways = {v: [0] * (max_degree + 1) for v in graph.vertices}
-    for q in range(max_degree + 1):
-        for v in graph.vertices:
-            total = 1 if vdeg[v] == q else 0
-            for u, g in incoming[v]:
-                prev = q - weights[g]
-                if prev >= 0:
-                    total += ways[u][prev]
-            ways[v][q] = total
-        h[q] += sum(ways[v][q] for v in graph.vertices)
-    return HilbertData(tuple(h))
 
 
 EXPONENTIAL = "exponential"
@@ -308,17 +197,8 @@ def homogenize_algebra(alg: GDUAlgebra) -> HomogenizedAlgebra:
     return HomogenizedAlgebra(alg, order, relations, certificate, notes)
 
 
-@dataclass(frozen=True)
-class ReesCheck:
-    ok: bool
-    rows: tuple[tuple[int, int, int], ...]  # (degree, homogenized dim, filtration dim)
-
-    def __bool__(self):
-        return self.ok
-
-
 def rees_dims(alg: GDUAlgebra, homog: HomogenizedAlgebra,
-              max_degree: int = 10) -> ReesCheck:
+              max_degree: int = 10) -> RowCheck:
     """Compare per-degree dimensions of the homogenized algebra against the
     cumulative PBW filtration of the base algebra (the computable shadow of
     the Rees-algebra identification)."""
@@ -331,7 +211,7 @@ def rees_dims(alg: GDUAlgebra, homog: HomogenizedAlgebra,
     for q in range(max_degree + 1):
         total += step[q]
         rows.append((q, homog_dims[q], total))
-    return ReesCheck(all(a == b for _, a, b in rows), tuple(rows))
+    return RowCheck(all(a == b for _, a, b in rows), tuple(rows))
 
 
 def quadratic_check(rels: RelationSet, weights: Sequence[int]) -> bool:
@@ -350,8 +230,7 @@ def solvable_homogenized(homog: HomogenizedAlgebra) -> SolvableAlgebra:
     which every lower part stays below its swap monomial.
     """
     base = homog.base
-    if base.params.lam * base.params.omega == 0:
-        raise HypothesisError("solvable structure requires lambda*omega != 0")
+    require_solvable(base.params)
     n = base.deg_f
     sol = solvable_from_relations(
         homog.relations, homog.order, sequence=(T, X2, X1, X3),

@@ -15,15 +15,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
-from .freealg import scalar, ScalarLike
+from .freealg import (GradedOrder, SparsePoly, ScalarLike, interreduce_with,
+                      leading, monic)
 
 Exponent = tuple[int, ...]
 
+leading_exp = leading  # the exponent-vector name of the shared leading term
 
-class PBWGrlexOrder:
+
+class PBWGrlexOrder(GradedOrder):
     """Graded lexicographic order on exponent vectors.
 
     Weighted degree first; equal degrees are broken by the corresponding
@@ -31,82 +34,17 @@ class PBWGrlexOrder:
     generator make the monomial smaller.
     """
 
-    def __init__(self, weights: Sequence[int]):
-        self.weights = tuple(int(w) for w in weights)
-        if not self.weights or any(w < 1 for w in self.weights):
-            raise InputError("weights must be positive integers")
-
     def degree(self, exp: Exponent) -> int:
         return sum(w * a for w, a in zip(self.weights, exp))
 
     def key(self, exp: Exponent):
         return (self.degree(exp), tuple(-a for a in exp))
 
-    def compare(self, e1: Exponent, e2: Exponent) -> int:
-        k1, k2 = self.key(e1), self.key(e2)
-        return -1 if k1 < k2 else (0 if k1 == k2 else 1)
 
-
-class PBWPoly:
+class PBWPoly(SparsePoly):
     """Finite rational combination of PBW monomials (exponent vectors)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Mapping[Exponent, ScalarLike]] = None):
-        clean: dict[Exponent, Fraction] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                c = scalar(coeff)
-                if c:
-                    clean[tuple(exp)] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls) -> "PBWPoly":
-        return cls()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, exp: Exponent) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, PBWPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return PBWPoly({e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other: "PBWPoly") -> "PBWPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        result = PBWPoly()
-        result.terms = out
-        return result
-
-    def __sub__(self, other: "PBWPoly") -> "PBWPoly":
-        return self + (-other)
-
-    def __rmul__(self, other) -> "PBWPoly":
-        c = scalar(other)
-        return PBWPoly({e: c * a for e, a in self.terms.items()})
-
-    def __mul__(self, other) -> "PBWPoly":
-        return self.__rmul__(other)
-
-    def __repr__(self):
-        return f"PBWPoly({self.terms!r})"
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -121,18 +59,6 @@ class CommutationRule:
     def __post_init__(self):
         if not 0 <= self.i < self.j:
             raise InputError("commutation rule requires generator positions i < j")
-
-
-def leading_exp(poly: PBWPoly, order: PBWGrlexOrder) -> tuple[Exponent, Fraction]:
-    if poly.is_zero():
-        raise InputError("the zero polynomial has no leading monomial")
-    lm = max(poly.terms, key=order.key)
-    return lm, poly.terms[lm]
-
-
-def monic(poly: PBWPoly, order: PBWGrlexOrder) -> PBWPoly:
-    _, lc = leading_exp(poly, order)
-    return poly if lc == 1 else (1 / lc) * poly
 
 
 def word_of_exponent(exp: Exponent) -> tuple[int, ...]:
@@ -272,7 +198,7 @@ def verify_solvable(alg: SolvableAlgebra) -> AxiomCheck:
             problems.append(
                 f"rule {alg.names[j]}*{alg.names[i]}: unit coefficient is 0")
         if not rule.f.is_zero():
-            lm, _ = leading_exp(rule.f, order)
+            lm, _ = leading(rule.f, order)
             if order.compare(lm, swap) >= 0:
                 problems.append(
                     f"rule {alg.names[j]}*{alg.names[i]}: lower part leads with "
@@ -365,7 +291,7 @@ def nf_left(alg: SolvableAlgebra, p: PBWPoly, basis: Sequence[PBWPoly]) -> PBWPo
     """Left normal form: no term of the remainder is left-divisible by any
     basis leading monomial.  ``p`` lies in the left ideal iff the result is 0."""
     order = alg.order
-    lms = [leading_exp(b, order)[0] for b in basis]
+    lms = [leading(b, order)[0] for b in basis]
     work = dict(p.terms)
     remainder: dict[Exponent, Fraction] = {}
     while work:
@@ -389,15 +315,13 @@ def nf_left(alg: SolvableAlgebra, p: PBWPoly, basis: Sequence[PBWPoly]) -> PBWPo
                 work[e] = s
             else:
                 work.pop(e, None)
-    result = PBWPoly()
-    result.terms = remainder
-    return result
+    return PBWPoly._raw(remainder)
 
 
 def _left_spoly(alg: SolvableAlgebra, g1: PBWPoly, g2: PBWPoly) -> PBWPoly:
     order = alg.order
-    lm1, _ = leading_exp(g1, order)
-    lm2, _ = leading_exp(g2, order)
+    lm1, _ = leading(g1, order)
+    lm2, _ = leading(g2, order)
     lcm = tuple(max(a, b) for a, b in zip(lm1, lm2))
     h1 = alg.multiply(alg.monomial(tuple(a - b for a, b in zip(lcm, lm1))), g1)
     h2 = alg.multiply(alg.monomial(tuple(a - b for a, b in zip(lcm, lm2))), g2)
@@ -405,25 +329,8 @@ def _left_spoly(alg: SolvableAlgebra, g1: PBWPoly, g2: PBWPoly) -> PBWPoly:
 
 
 def interreduce_left(alg: SolvableAlgebra, polys: Sequence[PBWPoly]) -> list[PBWPoly]:
-    order = alg.order
-    current = [monic(p, order) for p in polys if not p.is_zero()]
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(current)):
-            rest = current[:idx] + current[idx + 1:]
-            reduced = nf_left(alg, current[idx], rest)
-            if reduced.is_zero():
-                current.pop(idx)
-                changed = True
-                break
-            reduced = monic(reduced, order)
-            if reduced != current[idx]:
-                current[idx] = reduced
-                changed = True
-                break
-    current.sort(key=lambda p: order.key(leading_exp(p, order)[0]))
-    return current
+    return interreduce_with(polys, alg.order,
+                            lambda p, rest: nf_left(alg, p, rest))
 
 
 def left_buchberger(alg: SolvableAlgebra, gens: Iterable[PBWPoly]) -> list[PBWPoly]:

@@ -54,6 +54,14 @@ def test_spec_preset_with_args():
     assert str(alg.params.lam) == "1/16"
 
 
+def test_spec_rejects_args_with_explicit_parameters(tmp_path, capsys):
+    doc = dict(SL2_DOC, args={"zeta": 2})
+    with pytest.raises(InputError):
+        algebra_from_spec(doc)
+    assert main(["certify", "--spec", write_spec(tmp_path, doc)]) == 2
+    assert "args" in capsys.readouterr().err
+
+
 def test_spec_file_errors_carry_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"lambda": 1,\n  "omega": }', encoding="utf-8")

@@ -9,11 +9,12 @@ from downup.freealg import (COMPLETE, COMPLETE_UP_TO_BOUND, FreePoly,
                             RelationSet, WeightedOrder, complete,
                             count_normal_words, format_poly, is_groebner,
                             is_normal, leading, leading_homogeneous,
-                            normal_form, overlaps)
+                            normal_form, overlaps, word_degree)
 from downup.gdu import GDUParams, defining_relations
 
-from oracles import (canonical, exhaustive_normal_forms, groebner_by_dimension,
-                     ideal_member, reduce_rightmost, two_sided_span)
+from oracles import (canonical, enumerate_normal_words, exhaustive_normal_forms,
+                     groebner_by_dimension, ideal_member, reduce_rightmost,
+                     two_sided_span)
 
 # generator indices throughout: X1=0, X2=1, X3=2
 ORDER111 = WeightedOrder((1, 1, 1), (1, 0, 2))
@@ -319,6 +320,33 @@ def test_complete_rejects_bound_below_relations():
 def test_normal_word_counts_match_pbw_triples(sl2):
     counts = count_normal_words(sl2.relations.leading_words, (1, 1, 1), 8)
     assert counts == [(q + 1) * (q + 2) // 2 for q in range(9)]
+
+
+@st.composite
+def obstruction_sets(draw):
+    """(obstructions, weights): words of length 1..3 over 2..4 generators of
+    weight 1..3; some sets also hold a word containing another one."""
+    ngens = draw(st.integers(2, 4))
+    letters = st.integers(0, ngens - 1)
+    obstructions = draw(st.lists(st.lists(letters, min_size=1, max_size=3).map(tuple),
+                                 min_size=1, max_size=4))
+    if draw(st.booleans()):
+        inner = draw(st.sampled_from(obstructions))[:2]
+        extra = draw(st.lists(letters, min_size=1, max_size=3 - len(inner)))
+        cut = draw(st.integers(0, len(extra)))
+        obstructions += [inner, tuple(extra[:cut]) + inner + tuple(extra[cut:])]
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=ngens, max_size=ngens)))
+    return obstructions, weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(obstruction_sets(), st.integers(0, 8))
+def test_count_normal_words_matches_enumeration(case, max_degree):
+    obstructions, weights = case
+    expected = [0] * (max_degree + 1)
+    for word in enumerate_normal_words(obstructions, weights, max_degree):
+        expected[word_degree(word, weights)] += 1
+    assert count_normal_words(obstructions, weights, max_degree) == expected
 
 
 # ------------------------------------------------------------- formatting
