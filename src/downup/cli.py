@@ -176,9 +176,9 @@ def cmd_graded(alg: GDUAlgebra, subcommand: str, degree: Optional[int]) -> Repor
                    "leading homogeneous parts form a homogeneous Groebner basis",
                    relations=rendered,
                    leading_words=[list(w) for w in result.relations.leading_words])
-        report.add("dimension-ladder", PASS if result.dims_ok else FAIL,
+        report.add("dimension-ladder", PASS if result.dims.ok else FAIL,
                    "graded dimensions match PBW filtration steps",
-                   rows=result.dim_rows)
+                   rows=result.dims.rows)
     elif subcommand == "homogenize":
         homog = graded.homogenize_algebra(alg)
         rendered = [format_poly(p, homog.order, homog.gen_names)

@@ -3,12 +3,13 @@
 Words are tuples of generator indices (the empty tuple is the identity),
 polynomials are sparse maps from words to exact rational coefficients, and
 all comparisons go through a weighted graded lexicographic order.  The sparse
-arithmetic, the graded-order base, ``leading``, ``monic`` and the
-inter-reduction loop are shared with the PBW layer in ``solvable``.  On top
-of the arithmetic this module provides reduction to normal form modulo a
-relation set, overlap (S-element) analysis, a Groebner-basis check, a
-degree-bounded completion procedure, and the count of normal words by
-dynamic programming on Ufnarovski's overlap graph.
+arithmetic, the graded-order base, ``leading``, ``monic``, the
+term-rewriting loop and the inter-reduction loop are shared with the PBW
+layer in ``solvable``.  On top of the arithmetic this module provides
+reduction to normal form modulo a relation set, overlap (S-element)
+analysis, one scan of S-element remainders behind the Groebner check and
+the degree-bounded completion, and the count of normal words by dynamic
+programming on Ufnarovski's overlap graph.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .errors import InputError
+from .errors import CertificationError, InputError
 
 Word = tuple[int, ...]
 Scalar = Fraction
@@ -324,30 +325,17 @@ def normal_form(poly: FreePoly, rels: RelationSet, order: WeightedOrder) -> Free
     step strictly decreases the rewritten term, so the loop terminates; when
     ``rels`` is a Groebner basis the result is independent of the strategy.
     """
-    work = dict(poly.terms)
-    done: dict[Word, Fraction] = {}
-    while work:
-        word = max(work, key=order.key)
-        coeff = work.pop(word)
+    def rewrite(word: Word):
         site = _first_reduction(word, rels, order)
         if site is None:
-            done[word] = done.get(word, 0) + coeff
-            if not done[word]:
-                del done[word]
-            continue
+            return None
+        # word = prefix . lm . suffix and the monic rel = lm + tail, so the
+        # word equals -prefix . tail . suffix.
         lm, pos, rel = site
-        # word = prefix . lm . suffix and lm = rel - tail, so the term
-        # rewrites to -coeff * prefix . tail . suffix.
-        tail = rel - FreePoly.word(lm)
         prefix, suffix = word[:pos], word[pos + len(lm):]
-        for t_word, t_coeff in tail.terms.items():
-            w = prefix + t_word + suffix
-            s = work.get(w, 0) - coeff * t_coeff
-            if s:
-                work[w] = s
-            else:
-                work.pop(w, None)
-    return FreePoly._raw(done)
+        return [(prefix + t + suffix, -c) for t, c in rel.terms.items() if t != lm]
+
+    return FreePoly._raw(rewrite_terms(poly.terms, order.key, rewrite))
 
 
 def is_normal(poly: FreePoly, rels: RelationSet) -> bool:
@@ -412,6 +400,17 @@ class GroebnerResult:
         return self.ok
 
 
+def s_remainders(rels: RelationSet, order: WeightedOrder) -> Iterator[GroebnerWitness]:
+    """The nonzero normal forms of the S-elements of every ordered pair of
+    relations, lazily, in pair order."""
+    for i, g in enumerate(rels.polys):
+        for j, h in enumerate(rels.polys):
+            for word, elem in s_elements(g, h, order):
+                rem = normal_form(elem, rels, order)
+                if not rem.is_zero():
+                    yield GroebnerWitness(i, j, word, rem)
+
+
 def is_groebner(rels: RelationSet, order: WeightedOrder) -> GroebnerResult:
     """Check that every S-element of every ordered pair reduces to zero.
 
@@ -419,14 +418,45 @@ def is_groebner(rels: RelationSet, order: WeightedOrder) -> GroebnerResult:
     Complete for finite relation sets: by the diamond lemma the check is
     equivalent to the Groebner property under a compatible order.
     """
-    polys = rels.polys
-    for i, g in enumerate(polys):
-        for j, h in enumerate(polys):
-            for word, elem in s_elements(g, h, order):
-                rem = normal_form(elem, rels, order)
-                if not rem.is_zero():
-                    return GroebnerResult(False, GroebnerWitness(i, j, word, rem))
-    return GroebnerResult(True)
+    witness = next(s_remainders(rels, order), None)
+    return GroebnerResult(witness is None, witness)
+
+
+def certify_groebner(rels: RelationSet, order: WeightedOrder,
+                     what: str) -> GroebnerResult:
+    """The passing :func:`is_groebner` certificate of ``rels``; raises
+    CertificationError naming ``what``, with the witness in ``args[1]``."""
+    certificate = is_groebner(rels, order)
+    if not certificate.ok:
+        raise CertificationError(f"{what} failed the Groebner check",
+                                 certificate.witness)
+    return certificate
+
+
+def rewrite_terms(terms: Mapping[tuple, Fraction], key, rewrite) -> dict[tuple, Fraction]:
+    """Rewrite the key-largest term until no term is rewritable.
+
+    ``rewrite(mono)`` returns None for an irreducible monomial, or the
+    (monomial, coefficient) terms that ``mono`` equals modulo the ideal; each
+    must precede ``mono`` in the order, so the loop terminates.  Returns the
+    term dict of the irreducible remainder.
+    """
+    work = dict(terms)
+    done: dict[tuple, Fraction] = {}
+    while work:
+        mono = max(work, key=key)
+        coeff = work.pop(mono)
+        replacement = rewrite(mono)
+        if replacement is None:  # popped monomials strictly decrease
+            done[mono] = coeff
+            continue
+        for m, c in replacement:
+            s = work.get(m, 0) + coeff * c
+            if s:
+                work[m] = s
+            else:
+                work.pop(m, None)
+    return done
 
 
 def interreduce_with(polys: Sequence[SparsePoly], order: GradedOrder,
@@ -476,28 +506,14 @@ def complete(rels: RelationSet, order: WeightedOrder,
     if rels.polys and degree_bound < max(p.degree(order.weights) for p in rels):
         raise InputError("degree_bound must be at least the maximal relation degree")
     current = RelationSet(rels.polys, order)
-    grew = True
-    while grew:
-        grew = False
-        for g in current.polys:
-            for h in current.polys:
-                for _, elem in s_elements(g, h, order):
-                    rem = normal_form(elem, current, order)
-                    if rem.is_zero() or rem.degree(order.weights) > degree_bound:
-                        continue
-                    current = RelationSet(list(current.polys) + [rem], order)
-                    grew = True
-                    break
-                if grew:
-                    break
-            if grew:
-                break
+    while True:
+        rem = next((w.remainder for w in s_remainders(current, order)
+                    if w.remainder.degree(order.weights) <= degree_bound), None)
+        if rem is None:
+            break
+        current = RelationSet(list(current.polys) + [rem], order)
     reduced = RelationSet(interreduce(list(current.polys), order), order)
-    unresolved = any(
-        not normal_form(elem, reduced, order).is_zero()
-        for g in reduced.polys for h in reduced.polys
-        for _, elem in s_elements(g, h, order))
-    return reduced, (COMPLETE_UP_TO_BOUND if unresolved else COMPLETE)
+    return reduced, (COMPLETE if is_groebner(reduced, order) else COMPLETE_UP_TO_BOUND)
 
 
 class MonomialAlgebra:
@@ -517,7 +533,7 @@ class MonomialAlgebra:
         for w in words:
             if not w:
                 raise InputError("the empty word cannot be an obstruction")
-            if any(g >= len(self.weights) for g in w):
+            if any(not 0 <= g < len(self.weights) for g in w):
                 raise InputError(f"obstruction {w} uses an unknown generator")
         minimal: list[Word] = []
         for w in words:
@@ -564,12 +580,6 @@ def build_ufn_graph(mono: MonomialAlgebra) -> UfnGraph:
 @dataclass(frozen=True)
 class HilbertData:
     coefficients: tuple[int, ...]
-
-    def __getitem__(self, q: int) -> int:
-        return self.coefficients[q]
-
-    def __len__(self):
-        return len(self.coefficients)
 
 
 def hilbert(mono: MonomialAlgebra, max_degree: int) -> HilbertData:
@@ -618,6 +628,16 @@ def count_normal_words(obstructions: Iterable[Word], weights: Sequence[int],
     names = tuple(f"x{g}" for g in range(len(weights)))
     mono = MonomialAlgebra(names, weights, obstructions)
     return list(hilbert(mono, max_degree).coefficients)
+
+
+def series_coefficients(weights: Sequence[int], max_degree: int) -> list[int]:
+    """Taylor coefficients of the product of 1/(1 - t^w) over the weights:
+    the count of exponent vectors per weighted degree 0..max_degree."""
+    coeffs = [1] + [0] * max_degree
+    for w in weights:
+        for q in range(w, max_degree + 1):
+            coeffs[q] += coeffs[q - w]
+    return coeffs
 
 
 def format_word(word: Word, names: Sequence[str]) -> str:

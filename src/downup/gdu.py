@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 from .errors import CertificationError, HypothesisError, InputError
 from .freealg import (FreePoly, Generator, GroebnerResult, RelationSet,
-                      WeightedOrder, count_normal_words, is_groebner, leading,
-                      scalar, ScalarLike, Word)
+                      WeightedOrder, certify_groebner, count_normal_words,
+                      leading, scalar, ScalarLike, series_coefficients, Word)
 from .solvable import CommutationRule, PBWPoly, SolvableAlgebra, verify_solvable
 
 # free-algebra generator indices
@@ -139,10 +139,7 @@ def build(params: GDUParams, scheme: WeightScheme,
     scheme.validate(params.deg_f)
     order = WeightedOrder(scheme.weights(params.deg_f), PRECEDENCE)
     relations = RelationSet(defining_relations(params), order)
-    certificate = is_groebner(relations, order)
-    if not certificate.ok:
-        raise CertificationError(
-            "defining relations failed the Groebner check", certificate.witness)
+    certificate = certify_groebner(relations, order, "defining relations")
     return GDUAlgebra(params, scheme, order, relations, certificate, notes)
 
 
@@ -246,13 +243,7 @@ def preset(name: str, **kwargs) -> GDUAlgebra:
 
 def pbw_degree_counts(x2_weight: int, max_degree: int) -> list[int]:
     """Number of exponent triples (i, j, l) with w*(i+l) + j == q, per q."""
-    counts = [0] * (max_degree + 1)
-    w = x2_weight
-    for i in range(max_degree // w + 1):
-        for l in range(max_degree // w - i + 1):
-            for j in range(max_degree - w * (i + l) + 1):
-                counts[w * (i + l) + j] += 1
-    return counts
+    return series_coefficients((1, x2_weight, x2_weight), max_degree)
 
 
 @dataclass(frozen=True)
@@ -265,16 +256,18 @@ class RowCheck:
     def __bool__(self):
         return self.ok
 
+    @classmethod
+    def compare(cls, computed: Sequence[int], expected: Sequence[int]) -> "RowCheck":
+        """Rows (q, computed[q], expected[q]) for q = 0, 1, ... of both."""
+        rows = tuple((q, a, b) for q, (a, b) in enumerate(zip(computed, expected)))
+        return cls(all(a == b for _, a, b in rows), rows)
+
 
 def check_pbw(alg: GDUAlgebra, max_degree: int = 8) -> RowCheck:
     """Compare normal-word counts against PBW exponent counts per degree."""
-    if max_degree < 0:
-        raise InputError("degree must be >= 0")
     normal = count_normal_words(alg.relations.leading_words, alg.order.weights,
                                 max_degree)
-    expected = pbw_degree_counts(alg.x2_weight, max_degree)
-    rows = tuple((q, normal[q], expected[q]) for q in range(max_degree + 1))
-    return RowCheck(all(n == e for _, n, e in rows), rows)
+    return RowCheck.compare(normal, pbw_degree_counts(alg.x2_weight, max_degree))
 
 
 def solvable_from_relations(relations: RelationSet, order: WeightedOrder,
@@ -285,9 +278,9 @@ def solvable_from_relations(relations: RelationSet, order: WeightedOrder,
     ``sequence`` lists the free-algebra generator indices in PBW order
     (smallest first).  For each pair the relation with leading word
     a_j*a_i is rewritten as a_j*a_i = lam*a_i*a_j + f with f expressed in
-    the PBW basis; tails that are not PBW-sorted are rejected.
+    the PBW basis; tails that are not PBW-sorted, and tables that fail
+    :func:`verify_solvable`, are rejected with CertificationError.
     """
-    position = {g: p for p, g in enumerate(sequence)}
     by_lm = {leading(r, order)[0]: r for r in relations}
     rules = []
     for pj in range(len(sequence)):
@@ -301,22 +294,18 @@ def solvable_from_relations(relations: RelationSet, order: WeightedOrder,
             rhs = FreePoly.word(pair_word) - rel  # a_j a_i = rhs
             swap = (gi, gj)
             lam = rhs.coeff(swap)
-            f_terms = {}
-            for word, coeff in rhs.terms.items():
-                if word == swap:
-                    continue
-                exp = [0] * len(sequence)
-                last = -1
-                for g in word:
-                    p = position.get(g)
-                    if p is None or p < last:
-                        raise CertificationError(
-                            f"relation tail term {word} is not a PBW monomial")
-                    last = p
-                    exp[p] += 1
-                f_terms[tuple(exp)] = coeff
+            try:
+                f_terms = {exponent_of_word(word, sequence): coeff
+                           for word, coeff in rhs.terms.items() if word != swap}
+            except InputError as exc:
+                raise CertificationError(f"relation tail: {exc}") from exc
             rules.append(CommutationRule(pj, pi, lam, PBWPoly(f_terms)))
-    return SolvableAlgebra(names, weights, rules)
+    sol = SolvableAlgebra(names, weights, rules)
+    check = verify_solvable(sol)
+    if not check.ok:
+        raise CertificationError("derived commutation table is not solvable",
+                                 check.violations)
+    return sol
 
 
 def require_solvable(params: GDUParams) -> None:
@@ -337,14 +326,9 @@ def to_solvable(alg: GDUAlgebra) -> SolvableAlgebra:
     """
     require_solvable(alg.params)
     n = alg.deg_f
-    sol = solvable_from_relations(
+    return solvable_from_relations(
         alg.relations, alg.order, sequence=(X2, X1, X3),
         names=("X2", "X1", "X3"), weights=(n, 1, n))
-    check = verify_solvable(sol)
-    if not check.ok:
-        raise CertificationError("derived commutation table is not solvable",
-                                 check.violations)
-    return sol
 
 
 def normal_word_of_exponent(exp: Sequence[int]) -> Word:
@@ -353,17 +337,24 @@ def normal_word_of_exponent(exp: Sequence[int]) -> Word:
     return (X2,) * i + (X1,) * j + (X3,) * l
 
 
+def exponent_of_word(word: Word, sequence: Sequence[int]) -> tuple[int, ...]:
+    """Exponent vector of a word whose letters follow ``sequence`` (generator
+    indices, PBW order); InputError for any other word."""
+    exp = [0] * len(sequence)
+    last = 0
+    for g in word:
+        pos = sequence.index(g) if g in sequence else -1
+        if pos < last:
+            raise InputError(f"word {word} is not a PBW monomial in the "
+                             f"generator sequence {tuple(sequence)}")
+        last = pos
+        exp[pos] += 1
+    return tuple(exp)
+
+
 def exponent_of_normal_word(word: Word) -> tuple[int, int, int]:
     """Inverse of :func:`normal_word_of_exponent`; rejects non-normal words."""
-    counts = [0, 0, 0]
-    last = -1
-    for g in word:
-        pos = (X2, X1, X3).index(g)
-        if pos < last:
-            raise InputError(f"word {word} is not of the form X2^i X1^j X3^l")
-        last = pos
-        counts[pos] += 1
-    return tuple(counts)
+    return exponent_of_word(word, (X2, X1, X3))
 
 
 def random_params(rng, deg_f: Optional[int] = None) -> GDUParams:

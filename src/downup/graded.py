@@ -2,24 +2,25 @@
 central homogenization, filtration dimensions, Hilbert series and growth.
 
 Hilbert coefficients come from the overlap-graph counter of ``freealg``
-(``MonomialAlgebra``, ``hilbert``), re-exported here; the graph's cycle
-structure also decides polynomial versus exponential growth and, for
-polynomial growth, the Gelfand-Kirillov dimension of the monomial algebra.
+(``MonomialAlgebra``, ``hilbert``) and expected counts from its
+``series_coefficients``, all re-exported here; the graph's cycle structure
+also decides polynomial versus exponential growth and, for polynomial
+growth, the Gelfand-Kirillov dimension of the monomial algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import CertificationError, HypothesisError, InputError
 from .freealg import (FreePoly, GroebnerResult, RelationSet, WeightedOrder,
-                      is_groebner, leading_homogeneous, word_degree, Word)
+                      certify_groebner, leading_homogeneous, word_degree, Word)
 from .freealg import (HilbertData, MonomialAlgebra, UfnGraph,  # noqa: F401 (re-exported)
-                      build_ufn_graph, hilbert)
+                      build_ufn_graph, hilbert, series_coefficients)
 from .gdu import (GDUAlgebra, RowCheck, X1, X2, X3, pbw_degree_counts,
                   require_solvable, solvable_from_relations)
-from .solvable import SolvableAlgebra, verify_solvable
+from .solvable import SolvableAlgebra
 
 T = 3
 HOMOG_GEN_NAMES = ("X1", "X2", "X3", "T")
@@ -38,68 +39,59 @@ def ufn_growth(mono: MonomialAlgebra) -> Union[int, str]:
     block with more internal edges than vertices); otherwise the growth is
     polynomial and the returned integer -- the maximum number of cycle blocks
     met along a directed path -- equals the Gelfand-Kirillov dimension.
+    Tarjan's algorithm closes each block after every block it reaches, so the
+    longest chain below a block is known when the block closes.
     """
     graph = build_ufn_graph(mono)
-    verts = graph.vertices
-    succ: dict[Word, set[Word]] = {v: set() for v in verts}
+    succ: dict[Word, list[Word]] = {v: [] for v in graph.vertices}
     for u, v, _ in graph.edges:
-        succ[u].add(v)
+        succ[u].append(v)
+    index: dict[Word, int] = {}
+    low: dict[Word, int] = {}
+    block: dict[Word, int] = {}
+    excess: list[int] = []  # internal edges minus vertices, per block
+    depth: list[int] = []   # most cycle blocks on a path starting in the block
+    stack: list[Word] = []
+    path: list[tuple[Word, Iterator[Word]]] = []
 
-    reach: dict[Word, set[Word]] = {}
-    for v in verts:
-        seen: set[Word] = set()
-        stack = [v]
-        while stack:
-            cur = stack.pop()
-            for nxt in succ[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        reach[v] = seen
+    def enter(v: Word) -> None:
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        path.append((v, iter(succ[v])))
 
-    assigned: dict[Word, int] = {}
-    components: list[list[Word]] = []
-    for v in verts:
-        if v in assigned:
-            continue
-        comp = [u for u in verts if u not in assigned
-                and (u == v or (u in reach[v] and v in reach[u]))]
-        idx = len(components)
-        for u in comp:
-            assigned[u] = idx
-        components.append(comp)
-
-    weights = []
-    for idx, comp in enumerate(components):
-        members = set(comp)
-        internal = sum(1 for u, v, _ in graph.edges
-                       if u in members and v in members)
-        if internal > len(comp):
-            return EXPONENTIAL
-        weights.append(1 if internal == len(comp) else 0)
-
-    dag: dict[int, set[int]] = {i: set() for i in range(len(components))}
-    for u, v, _ in graph.edges:
-        cu, cv = assigned[u], assigned[v]
-        if cu != cv:
-            dag[cu].add(cv)
-
-    best: dict[int, int] = {}
-
-    def longest(i: int) -> int:
-        if i not in best:
-            best[i] = weights[i] + max((longest(j) for j in dag[i]), default=0)
-        return best[i]
-
-    return max((longest(i) for i in range(len(components))), default=0)
+    for root in graph.vertices:
+        if root not in index:
+            enter(root)
+        while path:
+            v, todo = path[-1]
+            w = next(todo, None)
+            if w is not None:
+                if w not in index:
+                    enter(w)
+                elif w not in block:
+                    low[v] = min(low[v], index[w])
+                continue
+            path.pop()
+            if path:
+                low[path[-1][0]] = min(low[path[-1][0]], low[v])
+            if low[v] < index[v]:
+                continue
+            c, pos = len(depth), stack.index(v)
+            members = stack[pos:]
+            del stack[pos:]
+            block.update((u, c) for u in members)
+            targets = [block[t] for u in members for t in succ[u]]
+            excess.append(targets.count(c) - len(members))
+            depth.append((1 if excess[c] == 0 else 0)
+                         + max((depth[d] for d in targets if d != c), default=0))
+    return EXPONENTIAL if any(e > 0 for e in excess) else max(depth, default=0)
 
 
 @dataclass(frozen=True)
 class AssocGraded:
     relations: RelationSet
     certificate: GroebnerResult
-    dim_rows: tuple[tuple[int, int, int], ...]  # (degree, graded dim, filtration step)
-    dims_ok: bool
+    dims: RowCheck  # rows (degree, graded dim, filtration step)
 
 
 def assoc_graded(alg: GDUAlgebra, check_degree: int = 10) -> AssocGraded:
@@ -110,16 +102,11 @@ def assoc_graded(alg: GDUAlgebra, check_degree: int = 10) -> AssocGraded:
         raise HypothesisError("graded structure requires deg f >= 1")
     lh = RelationSet([leading_homogeneous(g, alg.order.weights)
                       for g in alg.relations], alg.order)
-    certificate = is_groebner(lh, alg.order)
-    if not certificate.ok:
-        raise CertificationError(
-            "leading homogeneous parts failed the Groebner check",
-            certificate.witness)
+    certificate = certify_groebner(lh, alg.order, "leading homogeneous parts")
     mono = MonomialAlgebra(alg.gen_names, alg.order.weights, lh.leading_words)
-    graded_dims = hilbert(mono, check_degree)
+    graded_dims = hilbert(mono, check_degree).coefficients
     steps = pbw_degree_counts(alg.x2_weight, check_degree)
-    rows = tuple((q, graded_dims[q], steps[q]) for q in range(check_degree + 1))
-    return AssocGraded(lh, certificate, rows, all(a == b for _, a, b in rows))
+    return AssocGraded(lh, certificate, RowCheck.compare(graded_dims, steps))
 
 
 def homogenize_poly(poly: FreePoly, weights: Sequence[int],
@@ -178,11 +165,7 @@ def homogenize_algebra(alg: GDUAlgebra) -> HomogenizedAlgebra:
     hrels = [homogenize_poly(g, alg.order.weights, T) for g in alg.relations]
     hrels += [FreePoly({(i, T): 1, (T, i): -1}) for i in (X1, X2, X3)]
     relations = RelationSet(hrels, order)
-    certificate = is_groebner(relations, order)
-    if not certificate.ok:
-        raise CertificationError(
-            "homogenized relations failed the Groebner check",
-            certificate.witness)
+    certificate = certify_groebner(relations, order, "homogenized relations")
     if set(relations.leading_words) != set(HOMOG_LEADING_WORDS):
         raise CertificationError(
             "unexpected leading-word set after homogenization",
@@ -202,25 +185,15 @@ def rees_dims(alg: GDUAlgebra, homog: HomogenizedAlgebra,
     """Compare per-degree dimensions of the homogenized algebra against the
     cumulative PBW filtration of the base algebra (the computable shadow of
     the Rees-algebra identification)."""
-    if max_degree < 0:
-        raise InputError("degree must be >= 0")
-    homog_dims = hilbert(homog.monomial_algebra(), max_degree)
-    step = pbw_degree_counts(alg.x2_weight, max_degree)
-    rows = []
-    total = 0
-    for q in range(max_degree + 1):
-        total += step[q]
-        rows.append((q, homog_dims[q], total))
-    return RowCheck(all(a == b for _, a, b in rows), tuple(rows))
+    homog_dims = hilbert(homog.monomial_algebra(), max_degree).coefficients
+    # the running totals of the PBW steps: one more factor 1/(1 - t)
+    w = alg.x2_weight
+    return RowCheck.compare(homog_dims, series_coefficients((1, w, w, 1), max_degree))
 
 
 def quadratic_check(rels: RelationSet, weights: Sequence[int]) -> bool:
     """True iff every relation is homogeneous of weighted degree exactly 2."""
-    for p in rels:
-        degs = {word_degree(w, weights) for w in p.terms}
-        if degs != {2}:
-            return False
-    return True
+    return all(p.is_homogeneous(weights) and p.degree(weights) == 2 for p in rels)
 
 
 def solvable_homogenized(homog: HomogenizedAlgebra) -> SolvableAlgebra:
@@ -232,23 +205,9 @@ def solvable_homogenized(homog: HomogenizedAlgebra) -> SolvableAlgebra:
     base = homog.base
     require_solvable(base.params)
     n = base.deg_f
-    sol = solvable_from_relations(
+    return solvable_from_relations(
         homog.relations, homog.order, sequence=(T, X2, X1, X3),
         names=("T", "X2", "X1", "X3"), weights=(1, n, 1, n))
-    check = verify_solvable(sol)
-    if not check.ok:
-        raise CertificationError(
-            "homogenized commutation table is not solvable", check.violations)
-    return sol
-
-
-def series_coefficients(weights: Sequence[int], max_degree: int) -> list[int]:
-    """Taylor coefficients of the product of 1/(1 - t^w) over the weights."""
-    coeffs = [1] + [0] * max_degree
-    for w in weights:
-        for q in range(w, max_degree + 1):
-            coeffs[q] += coeffs[q - w]
-    return coeffs
 
 
 def series_form(weights: Sequence[int]) -> str:

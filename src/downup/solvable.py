@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
 from .freealg import (GradedOrder, SparsePoly, ScalarLike, interreduce_with,
-                      leading, monic)
+                      leading, monic, rewrite_terms)
 
 Exponent = tuple[int, ...]
 
@@ -292,30 +292,18 @@ def nf_left(alg: SolvableAlgebra, p: PBWPoly, basis: Sequence[PBWPoly]) -> PBWPo
     basis leading monomial.  ``p`` lies in the left ideal iff the result is 0."""
     order = alg.order
     lms = [leading(b, order)[0] for b in basis]
-    work = dict(p.terms)
-    remainder: dict[Exponent, Fraction] = {}
-    while work:
-        exp = max(work, key=order.key)
-        coeff = work.pop(exp)
+
+    def rewrite(exp: Exponent):
         hit = next((t for t, lm in enumerate(lms) if _divides(lm, exp)), None)
         if hit is None:
-            remainder[exp] = remainder.get(exp, 0) + coeff
-            if not remainder[exp]:
-                del remainder[exp]
-            continue
+            return None
         sigma = tuple(a - b for a, b in zip(exp, lms[hit]))
         h = alg.multiply(alg.monomial(sigma), basis[hit])
         rho = h.coeff(exp)
-        # the popped term cancels against (coeff/rho) * h; fold in the rest
-        for e, c in h.terms.items():
-            if e == exp:
-                continue
-            s = work.get(e, 0) - (coeff / rho) * c
-            if s:
-                work[e] = s
-            else:
-                work.pop(e, None)
-    return PBWPoly._raw(remainder)
+        # exp = (h - rest of h) / rho, and h lies in the left ideal
+        return [(e, -c / rho) for e, c in h.terms.items() if e != exp]
+
+    return PBWPoly._raw(rewrite_terms(p.terms, order.key, rewrite))
 
 
 def _left_spoly(alg: SolvableAlgebra, g1: PBWPoly, g2: PBWPoly) -> PBWPoly:

@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from downup.freealg import (FreePoly, RelationSet, WeightedOrder,
-                            find_subword, word_degree)
+                            build_ufn_graph, find_subword, word_degree)
+from downup.graded import EXPONENTIAL
 from downup.solvable import SolvableAlgebra, exponents_up_to, leading_exp
 
 
@@ -242,3 +243,59 @@ def enumerate_normal_words(leading_words, weights, max_degree):
 
     rec(())
     return found
+
+
+def ufn_growth_reference(mono) -> int | str:
+    """Growth read off the overlap graph with strongly connected blocks found
+    by all-pairs reachability: the quadratic reference for ``ufn_growth``."""
+    graph = build_ufn_graph(mono)
+    verts = graph.vertices
+    succ = {v: set() for v in verts}
+    for u, v, _ in graph.edges:
+        succ[u].add(v)
+
+    reach = {}
+    for v in verts:
+        seen = set()
+        stack = [v]
+        while stack:
+            cur = stack.pop()
+            for nxt in succ[cur]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        reach[v] = seen
+
+    assigned = {}
+    components = []
+    for v in verts:
+        if v in assigned:
+            continue
+        comp = [u for u in verts if u not in assigned
+                and (u == v or (u in reach[v] and v in reach[u]))]
+        for u in comp:
+            assigned[u] = len(components)
+        components.append(comp)
+
+    weights = []
+    for comp in components:
+        members = set(comp)
+        internal = sum(1 for u, v, _ in graph.edges
+                       if u in members and v in members)
+        if internal > len(comp):
+            return EXPONENTIAL
+        weights.append(1 if internal == len(comp) else 0)
+
+    dag = {i: set() for i in range(len(components))}
+    for u, v, _ in graph.edges:
+        if assigned[u] != assigned[v]:
+            dag[assigned[u]].add(assigned[v])
+
+    best = {}
+
+    def longest(i):
+        if i not in best:
+            best[i] = weights[i] + max((longest(j) for j in dag[i]), default=0)
+        return best[i]
+
+    return max((longest(i) for i in range(len(components))), default=0)

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from downup.errors import InputError
+from downup.errors import CertificationError, InputError
 from downup.freealg import (COMPLETE, COMPLETE_UP_TO_BOUND, FreePoly,
-                            RelationSet, WeightedOrder, complete,
-                            count_normal_words, format_poly, is_groebner,
+                            GroebnerWitness, RelationSet, WeightedOrder,
+                            certify_groebner, complete, count_normal_words, format_poly, is_groebner,
                             is_normal, leading, leading_homogeneous,
                             normal_form, overlaps, word_degree)
 from downup.gdu import GDUParams, defining_relations
@@ -250,6 +250,19 @@ def test_is_groebner_mutant_false_with_witness():
     assert groebner_by_dimension(rels, ORDER111, 6) is False
 
 
+def test_certify_groebner_raises_with_witness():
+    polys = sl2_relations()
+    polys[0] = polys[0] + FreePoly({(0, 2): 3})  # the mutant above
+    rels = RelationSet(polys, ORDER111)
+    with pytest.raises(CertificationError) as info:
+        certify_groebner(rels, ORDER111, "mutated relations")
+    assert info.value.args[0] == "mutated relations failed the Groebner check"
+    witness = info.value.args[1]
+    assert isinstance(witness, GroebnerWitness)
+    assert witness == is_groebner(rels, ORDER111).witness
+    assert certify_groebner(sl2_relation_set(), ORDER111, "sl2").ok
+
+
 # ----------------------------------------------------------------- complete
 
 def test_complete_leaves_certified_relations_unchanged(sl2, conformal_degf):
@@ -347,6 +360,12 @@ def test_count_normal_words_matches_enumeration(case, max_degree):
     for word in enumerate_normal_words(obstructions, weights, max_degree):
         expected[word_degree(word, weights)] += 1
     assert count_normal_words(obstructions, weights, max_degree) == expected
+
+
+def test_count_normal_words_rejects_negative_generator():
+    # a negative index used to be read as absent and left the counts free
+    with pytest.raises(InputError):
+        count_normal_words([(-1,)], (1, 1), 3)
 
 
 # ------------------------------------------------------------- formatting

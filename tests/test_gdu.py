@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from downup.errors import HypothesisError, InputError
-from downup.freealg import FreePoly
-from downup.gdu import (GDUParams, WeightScheme, build, check_pbw,
-                        exponent_of_normal_word, normal_word_of_exponent,
-                        pbw_degree_counts, preset, random_params, to_solvable)
+from downup.errors import CertificationError, HypothesisError, InputError
+from downup.freealg import FreePoly, RelationSet
+from downup.gdu import (X1, X2, X3, GDUParams, WeightScheme, build, check_pbw,
+                        defining_relations, exponent_of_normal_word,
+                        normal_word_of_exponent, pbw_degree_counts, preset,
+                        random_params, solvable_from_relations, to_solvable)
 
 from oracles import pbw_triples
 
@@ -184,3 +185,32 @@ def test_normal_word_bijection_roundtrip():
         assert exponent_of_normal_word(normal_word_of_exponent(exp)) == exp
     with pytest.raises(InputError):
         exponent_of_normal_word((0, 1))  # X1 X2 is not normal-sorted
+
+
+def test_exponent_of_normal_word_rejects_unknown_generator():
+    with pytest.raises(InputError):
+        exponent_of_normal_word((3,))
+
+
+# ------------------------------------------------------ solvable derivation
+
+def _derive(rels, order):
+    return solvable_from_relations(rels, order, sequence=(X2, X1, X3),
+                                   names=("X2", "X1", "X3"), weights=(1, 1, 1))
+
+
+def test_solvable_from_relations_rejects_zero_lambda():
+    alg = build(GDUParams.make(0, 1, 1, [0, 1]), WeightScheme.ALL_ONES)
+    assert alg.certificate.ok
+    with pytest.raises(CertificationError, match="not solvable") as info:
+        _derive(alg.relations, alg.order)
+    assert any("unit coefficient is 0" in v for v in info.value.args[1])
+
+
+def test_solvable_from_relations_rejects_unsorted_tail(sl2):
+    # X3*X2 - X2*X3 + X1*X2: the tail X1*X2 is not sorted X2 < X1 < X3
+    r31, r12, _ = defining_relations(sl2.params)
+    unsorted = FreePoly({(X3, X2): 1, (X2, X3): -1, (X1, X2): 1})
+    rels = RelationSet([r31, r12, unsorted], sl2.order)
+    with pytest.raises(CertificationError, match="not a PBW monomial"):
+        _derive(rels, sl2.order)

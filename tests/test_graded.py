@@ -1,12 +1,14 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from downup.errors import HypothesisError, InputError
 from downup.freealg import (FreePoly, RelationSet, format_poly, is_groebner,
-                            leading_homogeneous)
+                            leading_homogeneous, normal_form)
 from downup.gdu import GDUParams, WeightScheme, build, preset
 from downup.graded import (EXPONENTIAL, HOMOG_LEADING_WORDS, MonomialAlgebra,
                            T, assoc_graded, build_ufn_graph, hilbert,
@@ -15,7 +17,8 @@ from downup.graded import (EXPONENTIAL, HOMOG_LEADING_WORDS, MonomialAlgebra,
                            solvable_homogenized, ufn_growth)
 from downup.solvable import verify_solvable
 
-from oracles import enumerate_normal_words, groebner_by_dimension
+from oracles import (enumerate_normal_words, groebner_by_dimension,
+                     ufn_growth_reference)
 
 X1, X2, X3 = 0, 1, 2
 
@@ -36,7 +39,7 @@ def test_assoc_graded_all_ones_keeps_quadratic_f_part(conformal_allones):
         FreePoly({(X3, X2): 1, (X2, X3): -omega, (X1, X1): 1}),
     }
     assert set(result.relations.polys) == expected
-    assert result.certificate.ok and result.dims_ok
+    assert result.certificate.ok and result.dims.ok
 
 
 def test_assoc_graded_weighted_drops_f_entirely(degf3):
@@ -48,7 +51,7 @@ def test_assoc_graded_weighted_drops_f_entirely(degf3):
         FreePoly({(X3, X2): 1, (X2, X3): -omega}),
     }
     assert set(result.relations.polys) == expected
-    assert result.certificate.ok and result.dims_ok
+    assert result.certificate.ok and result.dims.ok
 
 
 def test_assoc_graded_of_homogeneous_relations_is_identity():
@@ -156,6 +159,31 @@ def test_homogenized_relation_strings_match_formulas(sl2):
     assert "X1*X2 - X2*X1 + 2*T*X2" in rendered
     assert "X3*X2 - X2*X3 - T*X1" in rendered
     assert "X1*T - T*X1" in rendered
+
+
+DEHOMOGENIZATION_CASES = {
+    "sl2": {},
+    "conformal": {"b": 1, "scheme": "all-ones"},
+    "conformal-deg-f": {"b": 1, "scheme": "deg-f"},
+    "woronowicz": {},
+}
+
+
+@functools.cache
+def _homogenized(case):
+    alg = preset(case.split("-")[0], **DEHOMOGENIZATION_CASES[case])
+    return alg, homogenize_algebra(alg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(DEHOMOGENIZATION_CASES)),
+       st.lists(st.sampled_from((X1, X2, X3, T)), max_size=5))
+def test_dehomogenization_commutes_with_normal_form(case, word):
+    # NF_T(p)|_{T=1} == NF(p|_{T=1})
+    alg, homog = _homogenized(case)
+    p = FreePoly.word(word)
+    reduced = homog.dehomogenize(normal_form(p, homog.relations, homog.order))
+    assert reduced == normal_form(homog.dehomogenize(p), alg.relations, alg.order)
 
 
 # -------------------------------------------------------------------- rees
@@ -275,6 +303,25 @@ def test_growth_with_longer_obstruction_window():
     # normal words: x^a then at most one y? obstructions: xxx, yx, yy
     # words avoiding them: x^a y^b with a<=2, b<=1 -- finite: growth 0
     assert ufn_growth(mono) == 0
+
+
+@st.composite
+def monomial_algebras(draw):
+    ngens = draw(st.integers(1, 3))
+    letters = st.integers(0, ngens - 1)
+    obstructions = draw(st.lists(st.lists(letters, min_size=1, max_size=3).map(tuple),
+                                 max_size=5))
+    return MonomialAlgebra(tuple(f"x{g}" for g in range(ngens)), (1,) * ngens,
+                           obstructions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_algebras())
+@example(MonomialAlgebra(("x", "y"), (1, 1), []))
+@example(MonomialAlgebra(("x", "y"), (1, 1), [(1, 1)]))
+@example(MonomialAlgebra(("x", "y", "z"), (1, 1, 1), [(1, 0), (2, 0), (2, 1)]))
+def test_ufn_growth_matches_reachability_reference(mono):
+    assert ufn_growth(mono) == ufn_growth_reference(mono)
 
 
 def test_ufn_graph_shape(sl2):
