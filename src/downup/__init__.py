@@ -8,9 +8,9 @@ Hilbert series and Gelfand-Kirillov dimension.
 
 from .errors import (CertificationError, DownupError, HypothesisError,
                      InputError)
-from .freealg import (FreePoly, Generator, RelationSet, WeightedOrder,
-                      complete, count_normal_words, format_poly, is_groebner,
-                      leading, leading_homogeneous, normal_form, overlaps)
+from .freealg import (FreePoly, RelationSet, WeightedOrder, complete,
+                      count_normal_words, format_poly, is_groebner, leading,
+                      leading_homogeneous, normal_form, overlaps)
 from .gdu import (GDUAlgebra, GDUParams, PRESETS, WeightScheme, build,
                   check_pbw, preset, to_solvable)
 from .graded import (HomogenizedAlgebra, MonomialAlgebra, assoc_graded,
@@ -22,7 +22,7 @@ from .solvable import (CommutationRule, PBWPoly, SolvableAlgebra,
 
 __all__ = [
     "CertificationError", "DownupError", "HypothesisError", "InputError",
-    "FreePoly", "Generator", "RelationSet", "WeightedOrder", "complete",
+    "FreePoly", "RelationSet", "WeightedOrder", "complete",
     "count_normal_words", "format_poly", "is_groebner", "leading",
     "leading_homogeneous", "normal_form", "overlaps",
     "GDUAlgebra", "GDUParams", "PRESETS", "WeightScheme", "build",

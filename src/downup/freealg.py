@@ -22,7 +22,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 from .errors import CertificationError, InputError
 
 Word = tuple[int, ...]
-Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 
 EMPTY: Word = ()
@@ -40,25 +39,11 @@ def scalar(value: ScalarLike) -> Fraction:
         raise InputError(f"not an exact rational: {value!r}") from exc
 
 
-@dataclass(frozen=True)
-class Generator:
-    """A free-algebra generator: 0-based index, display name, positive weight."""
-
-    index: int
-    name: str
-    weight: int = 1
-
-    def __post_init__(self):
-        if self.weight < 1:
-            raise InputError(f"generator {self.name}: weight must be >= 1")
-
-
 def word_degree(word: Word, weights: Sequence[int]) -> int:
     """Weighted degree of a word; the empty word has degree 0."""
-    try:
-        return sum(weights[g] for g in word)
-    except IndexError:
+    if not all(0 <= g < len(weights) for g in word):
         raise InputError(f"word {word} uses a generator unknown to the order")
+    return sum(weights[g] for g in word)
 
 
 def find_subword(word: Word, pattern: Word, start: int = 0) -> int:
@@ -107,30 +92,17 @@ class WeightedOrder(GradedOrder):
         self.precedence = tuple(precedence)
         if sorted(self.precedence) != list(range(n)):
             raise InputError("precedence must be a permutation of the generator indices")
-        rank = [0] * n
-        for r, g in enumerate(self.precedence):
-            rank[g] = r
-        self._rank = tuple(rank)
-
-    @property
-    def ngens(self) -> int:
-        return len(self.weights)
-
-    def degree(self, word: Word) -> int:
-        self._check(word)
-        return sum(self.weights[g] for g in word)
+        self._rank = {g: r for r, g in enumerate(self.precedence)}
+        self._weight = dict(enumerate(self.weights))
 
     def key(self, word: Word):
-        """Sort key: ascending in the order.  Usable with max()/sorted()."""
-        self._check(word)
-        return (sum(self.weights[g] for g in word),
-                tuple(self._rank[g] for g in word))
-
-    def _check(self, word: Word) -> None:
-        n = len(self.weights)
-        for g in word:
-            if not 0 <= g < n:
-                raise InputError(f"unknown generator index {g}")
+        """Sort key: ascending in the order.  Usable with max()/sorted().
+        The dict lookups are the only check of the generator indices."""
+        try:
+            return (sum(map(self._weight.__getitem__, word)),
+                    tuple(map(self._rank.__getitem__, word)))
+        except KeyError as exc:
+            raise InputError(f"unknown generator index {exc.args[0]}") from None
 
 
 class SparsePoly:
@@ -178,14 +150,7 @@ class SparsePoly:
         return self._raw({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return self._raw(out)
+        return self._raw(add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -218,13 +183,7 @@ class FreePoly(SparsePoly):
             return super().__mul__(other)
         out: dict[Word, Fraction] = {}
         for u, a in self.terms.items():
-            for v, b in other.terms.items():
-                w = u + v
-                s = out.get(w, 0) + a * b
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+            add_terms(out, ((u + v, b) for v, b in other.terms.items()), a)
         return FreePoly._raw(out)
 
     def degree(self, weights: Sequence[int]) -> int:
@@ -296,25 +255,21 @@ class RelationSet:
         return f"RelationSet({list(self.polys)!r})"
 
 
-def _first_reduction(word: Word, rels: RelationSet, order: WeightedOrder):
+def _first_reduction(word: Word, rels: RelationSet):
     """The reduction site used by the deterministic strategy.
 
     Among the relation leading words occurring in ``word``, take the
-    order-largest one and its leftmost occurrence.  Returns
+    order-largest one and its leftmost occurrence.  The relations are sorted
+    by leading word, so that is the last one that occurs; of several
+    relations sharing it, the first is used.  Returns
     (leading word, position, relation) or None.
     """
-    best = None
-    for lm, rel in zip(rels.leading_words, rels.polys):
-        pos = find_subword(word, lm)
-        if pos < 0:
-            continue
-        if best is None:
-            best = (lm, pos, rel)
-        else:
-            cmp = order.compare(lm, best[0])
-            if cmp > 0 or (cmp == 0 and pos < best[1]):
-                best = (lm, pos, rel)
-    return best
+    lms = rels.leading_words
+    for idx in range(len(lms) - 1, -1, -1):
+        pos = find_subword(word, lms[idx])
+        if pos >= 0:
+            return lms[idx], pos, rels.polys[lms.index(lms[idx])]
+    return None
 
 
 def normal_form(poly: FreePoly, rels: RelationSet, order: WeightedOrder) -> FreePoly:
@@ -324,9 +279,10 @@ def normal_form(poly: FreePoly, rels: RelationSet, order: WeightedOrder) -> Free
     leftmost occurrence of the order-largest applicable leading word.  Each
     step strictly decreases the rewritten term, so the loop terminates; when
     ``rels`` is a Groebner basis the result is independent of the strategy.
+    ``order`` must be ``rels.order``, by which the relations are sorted.
     """
     def rewrite(word: Word):
-        site = _first_reduction(word, rels, order)
+        site = _first_reduction(word, rels)
         if site is None:
             return None
         # word = prefix . lm . suffix and the monic rel = lm + tail, so the
@@ -450,13 +406,22 @@ def rewrite_terms(terms: Mapping[tuple, Fraction], key, rewrite) -> dict[tuple, 
         if replacement is None:  # popped monomials strictly decrease
             done[mono] = coeff
             continue
-        for m, c in replacement:
-            s = work.get(m, 0) + coeff * c
-            if s:
-                work[m] = s
-            else:
-                work.pop(m, None)
+        add_terms(work, replacement, coeff)
     return done
+
+
+def add_terms(out: dict[tuple, Fraction], terms: Iterable[tuple[tuple, Fraction]],
+              scale: Optional[Fraction] = None) -> dict[tuple, Fraction]:
+    """Add the (monomial, coefficient) pairs of ``terms``, each times
+    ``scale`` when given, into the term dict ``out`` in place, dropping the
+    monomials whose coefficient cancels to zero; returns ``out``."""
+    for m, c in terms:
+        s = out.get(m, 0) + (c if scale is None else scale * c)
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
 
 
 def interreduce_with(polys: Sequence[SparsePoly], order: GradedOrder,

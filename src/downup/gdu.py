@@ -22,9 +22,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import CertificationError, HypothesisError, InputError
-from .freealg import (FreePoly, Generator, GroebnerResult, RelationSet,
-                      WeightedOrder, certify_groebner, count_normal_words,
-                      leading, scalar, ScalarLike, series_coefficients, Word)
+from .freealg import (FreePoly, GroebnerResult, RelationSet, WeightedOrder,
+                      certify_groebner, count_normal_words, leading, scalar,
+                      ScalarLike, series_coefficients, Word)
 from .solvable import CommutationRule, PBWPoly, SolvableAlgebra, verify_solvable
 
 # free-algebra generator indices
@@ -100,8 +100,6 @@ class GDUAlgebra:
         self.relations = relations
         self.certificate = certificate
         self.notes = notes
-        self.generators = tuple(
-            Generator(i, GEN_NAMES[i], order.weights[i]) for i in range(3))
 
     @property
     def gen_names(self) -> tuple[str, ...]:

@@ -15,7 +15,8 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .errors import CertificationError, HypothesisError, InputError
 from .freealg import (FreePoly, GroebnerResult, RelationSet, WeightedOrder,
-                      certify_groebner, leading_homogeneous, word_degree, Word)
+                      add_terms, certify_groebner, leading_homogeneous,
+                      word_degree, Word)
 from .freealg import (HilbertData, MonomialAlgebra, UfnGraph,  # noqa: F401 (re-exported)
                       build_ufn_graph, hilbert, series_coefficients)
 from .gdu import (GDUAlgebra, RowCheck, X1, X2, X3, pbw_degree_counts,
@@ -146,10 +147,8 @@ class HomogenizedAlgebra:
 
     def dehomogenize(self, poly: FreePoly) -> FreePoly:
         """Send T to 1, back into the three-generator free algebra."""
-        out = FreePoly.zero()
-        for word, coeff in poly.terms.items():
-            out = out + FreePoly({tuple(g for g in word if g != T): coeff})
-        return out
+        dropped = ((tuple(g for g in word if g != T), c) for word, c in poly.terms.items())
+        return FreePoly._raw(add_terms({}, dropped))
 
     def monomial_algebra(self) -> MonomialAlgebra:
         return MonomialAlgebra(self.gen_names, self.order.weights,

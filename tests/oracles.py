@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from downup.freealg import (FreePoly, RelationSet, WeightedOrder,
-                            build_ufn_graph, find_subword, word_degree)
+                            build_ufn_graph, find_subword, rewrite_terms,
+                            word_degree)
 from downup.graded import EXPONENTIAL
 from downup.solvable import SolvableAlgebra, exponents_up_to, leading_exp
 
@@ -94,6 +95,35 @@ def reduce_rightmost(poly: FreePoly, rels: RelationSet,
             else:
                 work.pop(w, None)
     return FreePoly({w: c for w, c in done.items() if c})
+
+
+def normal_form_by_compare(poly: FreePoly, rels: RelationSet,
+                           order: WeightedOrder) -> FreePoly:
+    """normal_form's strategy with its reduction site chosen by pairwise
+    ``order.compare`` over every applicable leading word, not by the sorted
+    position of the relations: rewrite the largest term at the leftmost
+    occurrence of the order-largest leading word, taking the first relation
+    among those that share it.  On a set that is not a Groebner basis the
+    result depends on the strategy, so it pins normal_form's choice."""
+    def rewrite(word):
+        best = None
+        for lm, rel in zip(rels.leading_words, rels.polys):
+            pos = find_subword(word, lm)
+            if pos < 0:
+                continue
+            if best is None:
+                best = (lm, pos, rel)
+            else:
+                cmp = order.compare(lm, best[0])
+                if cmp > 0 or (cmp == 0 and pos < best[1]):
+                    best = (lm, pos, rel)
+        if best is None:
+            return None
+        lm, pos, rel = best
+        return [(word[:pos] + t + word[pos + len(lm):], -c)
+                for t, c in rel.terms.items() if t != lm]
+
+    return FreePoly(rewrite_terms(poly.terms, order.key, rewrite))
 
 
 def words_up_to(weights, max_degree):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import downup
 from downup.cli import (algebra_from_spec, cmd_certify, load_spec_file, main,
                         spec_to_dict)
 from downup.errors import InputError
@@ -16,6 +17,12 @@ def write_spec(tmp_path, doc, name="spec.json"):
 
 SL2_DOC = {"lambda": 1, "omega": 1, "gamma": 2, "f": [0, -1],
            "scheme": "all-ones"}
+
+
+# ----------------------------------------------------------------- package
+
+def test_package_all_names_resolve():
+    assert [name for name in downup.__all__ if not hasattr(downup, name)] == []
 
 
 # ------------------------------------------------------------- spec parsing

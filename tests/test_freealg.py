@@ -13,8 +13,8 @@ from downup.freealg import (COMPLETE, COMPLETE_UP_TO_BOUND, FreePoly,
 from downup.gdu import GDUParams, defining_relations
 
 from oracles import (canonical, enumerate_normal_words, exhaustive_normal_forms,
-                     groebner_by_dimension, ideal_member, reduce_rightmost,
-                     two_sided_span)
+                     groebner_by_dimension, ideal_member, normal_form_by_compare,
+                     reduce_rightmost, two_sided_span)
 
 # generator indices throughout: X1=0, X2=1, X3=2
 ORDER111 = WeightedOrder((1, 1, 1), (1, 0, 2))
@@ -50,6 +50,8 @@ def test_compare_degree_dominates_length():
 def test_compare_unknown_generator():
     with pytest.raises(InputError):
         ORDER111.compare((0,), (5,))
+    with pytest.raises(InputError):
+        ORDER111.compare((0,), (-1,))
 
 
 @st.composite
@@ -206,6 +208,31 @@ def test_strategy_independence_on_groebner_basis():
                  for _ in range(rng.randint(1, 3))}
         p = FreePoly(terms)
         assert normal_form(p, rels, ORDER111) == reduce_rightmost(p, rels, ORDER111)
+
+
+@st.composite
+def small_relation_sets(draw):
+    """2-4 relations over three generators, each a nonempty word of length
+    <= 2 plus up to three words of length <= 2 with small coefficients.
+    Leading words may repeat, and most such sets are not Groebner bases."""
+    order = WeightedOrder((1, 1, 1), draw(st.permutations([0, 1, 2])))
+    short = st.lists(st.integers(0, 2), max_size=2).map(tuple)
+    polys = []
+    for _ in range(draw(st.integers(2, 4))):
+        terms = {w: draw(st.integers(-2, 2)) for w in draw(st.lists(short, max_size=3))}
+        terms[draw(st.lists(st.integers(0, 2), min_size=1, max_size=2).map(tuple))] = 1
+        polys.append(FreePoly(terms))
+    return RelationSet(polys, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_relation_sets(),
+       st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=6).map(tuple),
+                min_size=1, max_size=5))
+def test_normal_form_matches_compare_strategy(rels, word_list):
+    for word in word_list:
+        p = FreePoly.word(word)
+        assert normal_form(p, rels, rels.order) == normal_form_by_compare(p, rels, rels.order)
 
 
 # ---------------------------------------------------------------- overlaps
@@ -366,6 +393,14 @@ def test_count_normal_words_rejects_negative_generator():
     # a negative index used to be read as absent and left the counts free
     with pytest.raises(InputError):
         count_normal_words([(-1,)], (1, 1), 3)
+
+
+def test_word_degree_rejects_negative_generator():
+    # a negative index used to be read from the end of the weights
+    with pytest.raises(InputError):
+        word_degree((-1,), (1, 2))
+    with pytest.raises(InputError):
+        FreePoly({(-1,): 1, (): 1}).degree((1, 1, 1))
 
 
 # ------------------------------------------------------------- formatting
