@@ -154,13 +154,9 @@ def cmd_nf(alg: GDUAlgebra, expression: str, homogenized: bool) -> Report:
     report = Report("nf", spec=spec_to_dict(alg))
     gens = _gen_map(homogenized)
     poly = parse_expression(expression, gens)
-    if homogenized:
-        homog = graded.homogenize_algebra(alg)
-        reduced = normal_form(poly, homog.relations, homog.order)
-        rendered = format_poly(reduced, homog.order, homog.gen_names)
-    else:
-        reduced = normal_form(poly, alg.relations, alg.order)
-        rendered = format_poly(reduced, alg.order, alg.gen_names)
+    pres = graded.homogenize_algebra(alg) if homogenized else alg
+    reduced = normal_form(poly, pres.relations, pres.order)
+    rendered = format_poly(reduced, pres.order, pres.gen_names)
     report.add("normal-form", PASS, rendered,
                input=expression, normal_form=rendered)
     return report
@@ -168,10 +164,9 @@ def cmd_nf(alg: GDUAlgebra, expression: str, homogenized: bool) -> Report:
 
 def cmd_graded(alg: GDUAlgebra, subcommand: str, degree: Optional[int]) -> Report:
     report = Report(f"graded {subcommand}", spec=spec_to_dict(alg))
-    names3 = alg.gen_names
     if subcommand == "assoc":
         result = graded.assoc_graded(alg)
-        rendered = [format_poly(p, alg.order, names3) for p in result.relations]
+        rendered = [format_poly(p, alg.order, alg.gen_names) for p in result.relations]
         report.add("assoc-graded", PASS if result.certificate.ok else FAIL,
                    "leading homogeneous parts form a homogeneous Groebner basis",
                    relations=rendered,
@@ -211,10 +206,7 @@ def cmd_graded(alg: GDUAlgebra, subcommand: str, degree: Optional[int]) -> Repor
                 "weighted grading in use: computed coefficients match "
                 f"{form}; the uniform-weight grading gives 1/(1-t)^4")
     elif subcommand == "gk":
-        lh = graded.assoc_graded(alg)
-        mono3 = graded.MonomialAlgebra(names3, alg.order.weights,
-                                       lh.relations.leading_words)
-        growth3 = graded.ufn_growth(mono3)
+        growth3 = graded.ufn_growth(graded.assoc_graded(alg).monomial_algebra())
         homog = graded.homogenize_algebra(alg)
         growth4 = graded.ufn_growth(homog.monomial_algebra())
         report.add("gk-dimension", PASS if (growth3, growth4) == (3, 4) else FAIL,

@@ -5,11 +5,12 @@ polynomials are sparse maps from words to exact rational coefficients, and
 all comparisons go through a weighted graded lexicographic order.  The sparse
 arithmetic, the graded-order base, ``leading``, ``monic``, the
 term-rewriting loop and the inter-reduction loop are shared with the PBW
-layer in ``solvable``.  On top of the arithmetic this module provides
-reduction to normal form modulo a relation set, overlap (S-element)
-analysis, one scan of S-element remainders behind the Groebner check and
-the degree-bounded completion, and the count of normal words by dynamic
-programming on Ufnarovski's overlap graph.
+layer in ``solvable``, and every check returns one ``Verdict``.  On top of
+the arithmetic this module provides reduction to normal form modulo a
+relation set, overlap (S-element) analysis, one scan of S-element remainders
+behind the Groebner check and the degree-bounded completion, ``Presentation``
+(relations certified by that check), and the count of normal words by
+dynamic programming on Ufnarovski's overlap graph.
 """
 
 from __future__ import annotations
@@ -279,8 +280,12 @@ def normal_form(poly: FreePoly, rels: RelationSet, order: WeightedOrder) -> Free
     leftmost occurrence of the order-largest applicable leading word.  Each
     step strictly decreases the rewritten term, so the loop terminates; when
     ``rels`` is a Groebner basis the result is independent of the strategy.
-    ``order`` must be ``rels.order``, by which the relations are sorted.
+    ``order`` must equal ``rels.order``, by which the relations are sorted;
+    InputError otherwise.
     """
+    if order is not rels.order and (order.weights, order.precedence) != (
+            rels.order.weights, rels.order.precedence):
+        raise InputError("normal_form order differs from the relation set's order")
     def rewrite(word: Word):
         site = _first_reduction(word, rels)
         if site is None:
@@ -348,12 +353,23 @@ class GroebnerWitness:
 
 
 @dataclass(frozen=True)
-class GroebnerResult:
+class Verdict:
+    """The outcome of every check: ``ok`` with what shows it -- a Groebner
+    ``witness``, axiom ``violations`` or per-degree ``rows``."""
+
     ok: bool
     witness: Optional[GroebnerWitness] = None
+    violations: tuple[str, ...] = ()
+    rows: tuple[tuple[int, int, int], ...] = ()  # (degree, computed, expected)
 
     def __bool__(self):
         return self.ok
+
+    @classmethod
+    def compare(cls, computed: Sequence[int], expected: Sequence[int]) -> "Verdict":
+        """Rows (q, computed[q], expected[q]) for q = 0, 1, ... of both."""
+        rows = tuple((q, a, b) for q, (a, b) in enumerate(zip(computed, expected)))
+        return cls(all(a == b for _, a, b in rows), rows=rows)
 
 
 def s_remainders(rels: RelationSet, order: WeightedOrder) -> Iterator[GroebnerWitness]:
@@ -367,7 +383,7 @@ def s_remainders(rels: RelationSet, order: WeightedOrder) -> Iterator[GroebnerWi
                     yield GroebnerWitness(i, j, word, rem)
 
 
-def is_groebner(rels: RelationSet, order: WeightedOrder) -> GroebnerResult:
+def is_groebner(rels: RelationSet, order: WeightedOrder) -> Verdict:
     """Check that every S-element of every ordered pair reduces to zero.
 
     Returns the first offending pair with its nonzero remainder otherwise.
@@ -375,11 +391,11 @@ def is_groebner(rels: RelationSet, order: WeightedOrder) -> GroebnerResult:
     equivalent to the Groebner property under a compatible order.
     """
     witness = next(s_remainders(rels, order), None)
-    return GroebnerResult(witness is None, witness)
+    return Verdict(witness is None, witness)
 
 
 def certify_groebner(rels: RelationSet, order: WeightedOrder,
-                     what: str) -> GroebnerResult:
+                     what: str) -> Verdict:
     """The passing :func:`is_groebner` certificate of ``rels``; raises
     CertificationError naming ``what``, with the witness in ``args[1]``."""
     certificate = is_groebner(rels, order)
@@ -387,6 +403,29 @@ def certify_groebner(rels: RelationSet, order: WeightedOrder,
         raise CertificationError(f"{what} failed the Groebner check",
                                  certificate.witness)
     return certificate
+
+
+class Presentation:
+    """Named generators, an order and relations certified as a Groebner
+    basis at construction; raises CertificationError naming ``what``
+    otherwise.  The passing check is kept as ``certificate``."""
+
+    def __init__(self, gen_names: Sequence[str], order: WeightedOrder,
+                 polys: Iterable[FreePoly], what: str, notes: Sequence[str] = ()):
+        self.gen_names = tuple(gen_names)
+        self.order = order
+        self.relations = RelationSet(polys, order)
+        self.certificate = certify_groebner(self.relations, order, what)
+        self.notes = tuple(notes)
+
+    @property
+    def leading_words(self) -> tuple[Word, ...]:
+        return self.relations.leading_words
+
+    def monomial_algebra(self) -> "MonomialAlgebra":
+        """The monomial algebra of the leading words, which has the same
+        normal words and hence the same Hilbert series."""
+        return MonomialAlgebra(self.gen_names, self.order.weights, self.leading_words)
 
 
 def rewrite_terms(terms: Mapping[tuple, Fraction], key, rewrite) -> dict[tuple, Fraction]:

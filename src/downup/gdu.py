@@ -22,9 +22,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import CertificationError, HypothesisError, InputError
-from .freealg import (FreePoly, GroebnerResult, RelationSet, WeightedOrder,
-                      certify_groebner, count_normal_words, leading, scalar,
-                      ScalarLike, series_coefficients, Word)
+from .freealg import (FreePoly, Presentation, RelationSet, Verdict, WeightedOrder,
+                      count_normal_words, leading, scalar, ScalarLike,
+                      series_coefficients, Word)
 from .solvable import CommutationRule, PBWPoly, SolvableAlgebra, verify_solvable
 
 # free-algebra generator indices
@@ -84,26 +84,20 @@ class WeightScheme(enum.Enum):
         return (1, deg_f, deg_f)
 
 
-class GDUAlgebra:
+class GDUAlgebra(Presentation):
     """A certified generalized down-up algebra presentation.
 
     The Groebner certificate is established at construction; use
-    :func:`build` rather than calling the constructor directly.
+    :func:`build`, which validates the scheme, rather than calling the
+    constructor directly.
     """
 
     def __init__(self, params: GDUParams, scheme: WeightScheme,
-                 order: WeightedOrder, relations: RelationSet,
-                 certificate: GroebnerResult, notes: tuple[str, ...] = ()):
+                 order: WeightedOrder, notes: tuple[str, ...] = ()):
+        super().__init__(GEN_NAMES, order, defining_relations(params),
+                         "defining relations", notes)
         self.params = params
         self.scheme = scheme
-        self.order = order
-        self.relations = relations
-        self.certificate = certificate
-        self.notes = notes
-
-    @property
-    def gen_names(self) -> tuple[str, ...]:
-        return GEN_NAMES
 
     @property
     def deg_f(self) -> int:
@@ -136,9 +130,7 @@ def build(params: GDUParams, scheme: WeightScheme,
     """Construct and certify the algebra for the given parameters and scheme."""
     scheme.validate(params.deg_f)
     order = WeightedOrder(scheme.weights(params.deg_f), PRECEDENCE)
-    relations = RelationSet(defining_relations(params), order)
-    certificate = certify_groebner(relations, order, "defining relations")
-    return GDUAlgebra(params, scheme, order, relations, certificate, notes)
+    return GDUAlgebra(params, scheme, order, notes)
 
 
 def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
@@ -151,46 +143,40 @@ def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
-def _preset_sl2(scheme: Optional[str] = None) -> GDUAlgebra:
-    params = GDUParams.make(1, 1, 2, [0, -1])
-    return build(params, _scheme_arg(scheme, params), notes=("preset sl2",))
+def _preset_sl2() -> tuple[GDUParams, str]:
+    return GDUParams.make(1, 1, 2, [0, -1]), "preset sl2"
 
 
-def _preset_smith(f: Sequence[ScalarLike] = (0, 1),
-                  scheme: Optional[str] = None) -> GDUAlgebra:
+def _preset_smith(f: Sequence[ScalarLike] = (0, 1)) -> tuple[GDUParams, str]:
     given = [scalar(c) for c in f]
-    params = GDUParams.make(1, 1, 1, [-c for c in given])
     note = ("preset smith: relations [X1,X3]=X3, [X1,X2]=-X2, [X3,X2]=f(X1) "
             "converted to the standard form with lambda=omega=1, gamma=1 and "
             "the f coefficients negated")
-    return build(params, _scheme_arg(scheme, params), notes=(note,))
+    return GDUParams.make(1, 1, 1, [-c for c in given]), note
 
 
-def _preset_woronowicz(zeta: ScalarLike = 2,
-                       scheme: Optional[str] = None) -> GDUAlgebra:
+def _preset_woronowicz(zeta: ScalarLike = 2) -> tuple[GDUParams, str]:
     z = scalar(zeta)
     if z == 0:
         raise InputError("woronowicz requires zeta != 0")
-    params = GDUParams.make(z ** 4, z ** 2, -(1 + z ** 2), [0, -z])
     note = ("preset woronowicz: lambda=zeta^4, omega=zeta^2, gamma=-(1+zeta^2), "
             "f(X1) = -zeta*X1 (reading a, b, c as the coefficients of "
             "f = a*X1^2 + b*X1 + c)")
-    return build(params, _scheme_arg(scheme, params), notes=(note,))
+    return GDUParams.make(z ** 4, z ** 2, -(1 + z ** 2), [0, -z]), note
 
 
 def _preset_conformal(b: ScalarLike = 1, lam: ScalarLike = 1,
-                      omega: ScalarLike = 1, gamma: ScalarLike = 1,
-                      scheme: Optional[str] = None) -> GDUAlgebra:
+                      omega: ScalarLike = 1,
+                      gamma: ScalarLike = 1) -> tuple[GDUParams, str]:
     bb, ll, ww, gg = scalar(b), scalar(lam), scalar(omega), scalar(gamma)
     if ll * ww * gg * bb == 0:
         raise InputError("conformal requires lambda*omega*gamma*b != 0")
-    params = GDUParams.make(ll, ww, gg, [0, 1, bb])
-    return build(params, _scheme_arg(scheme, params),
-                 notes=("preset conformal: f(X1) = b*X1^2 + X1",))
+    return (GDUParams.make(ll, ww, gg, [0, 1, bb]),
+            "preset conformal: f(X1) = b*X1^2 + X1")
 
 
-def _preset_down_up(alpha: ScalarLike, beta: ScalarLike, gamma: ScalarLike,
-                    scheme: Optional[str] = None) -> GDUAlgebra:
+def _preset_down_up(alpha: ScalarLike, beta: ScalarLike,
+                    gamma: ScalarLike) -> tuple[GDUParams, str]:
     a, b, g = scalar(alpha), scalar(beta), scalar(gamma)
     root = _rational_sqrt(a * a + 4 * b)
     if root is None:
@@ -200,19 +186,9 @@ def _preset_down_up(alpha: ScalarLike, beta: ScalarLike, gamma: ScalarLike,
             "rational square")
     lam = (a + root) / 2
     omega = (a - root) / 2
-    params = GDUParams.make(lam, omega, g, [0, 1])
     note = (f"preset down_up: alpha=lambda+omega, beta=-lambda*omega with "
             f"lambda={lam}, omega={omega} (lambda takes the larger root), f(X1)=X1")
-    return build(params, _scheme_arg(scheme, params), notes=(note,))
-
-
-def _scheme_arg(scheme: Optional[str], params: GDUParams) -> WeightScheme:
-    if scheme is None:
-        return WeightScheme.ALL_ONES if params.deg_f <= 2 else WeightScheme.DEG_F
-    try:
-        return WeightScheme(scheme)
-    except ValueError:
-        raise InputError(f"unknown weight scheme {scheme!r}")
+    return GDUParams.make(lam, omega, g, [0, 1]), note
 
 
 PRESETS = {
@@ -227,16 +203,23 @@ PRESETS = {
 }
 
 
-def preset(name: str, **kwargs) -> GDUAlgebra:
-    """Build a named member of the family; see PRESETS for the argument docs."""
+def preset(name: str, scheme: Optional[str] = None, **kwargs) -> GDUAlgebra:
+    """Build a named member of the family; see PRESETS for the argument docs.
+    The scheme defaults to all-ones when deg f <= 2 and deg-f otherwise."""
     try:
-        builder, _ = PRESETS[name]
+        make, _ = PRESETS[name]
     except KeyError:
         raise InputError(f"unknown preset {name!r}; known: {', '.join(sorted(PRESETS))}")
     try:
-        return builder(**kwargs)
+        params, note = make(**kwargs)
     except TypeError as exc:
         raise InputError(f"bad arguments for preset {name!r}: {exc}")
+    default = WeightScheme.ALL_ONES if params.deg_f <= 2 else WeightScheme.DEG_F
+    try:
+        resolved = default if scheme is None else WeightScheme(scheme)
+    except ValueError:
+        raise InputError(f"unknown weight scheme {scheme!r}")
+    return build(params, resolved, (note,))
 
 
 def pbw_degree_counts(x2_weight: int, max_degree: int) -> list[int]:
@@ -244,28 +227,10 @@ def pbw_degree_counts(x2_weight: int, max_degree: int) -> list[int]:
     return series_coefficients((1, x2_weight, x2_weight), max_degree)
 
 
-@dataclass(frozen=True)
-class RowCheck:
-    """Per-degree comparison of a computed count against an expected one."""
-
-    ok: bool
-    rows: tuple[tuple[int, int, int], ...]  # (degree, computed, expected)
-
-    def __bool__(self):
-        return self.ok
-
-    @classmethod
-    def compare(cls, computed: Sequence[int], expected: Sequence[int]) -> "RowCheck":
-        """Rows (q, computed[q], expected[q]) for q = 0, 1, ... of both."""
-        rows = tuple((q, a, b) for q, (a, b) in enumerate(zip(computed, expected)))
-        return cls(all(a == b for _, a, b in rows), rows)
-
-
-def check_pbw(alg: GDUAlgebra, max_degree: int = 8) -> RowCheck:
+def check_pbw(alg: GDUAlgebra, max_degree: int = 8) -> Verdict:
     """Compare normal-word counts against PBW exponent counts per degree."""
-    normal = count_normal_words(alg.relations.leading_words, alg.order.weights,
-                                max_degree)
-    return RowCheck.compare(normal, pbw_degree_counts(alg.x2_weight, max_degree))
+    normal = count_normal_words(alg.leading_words, alg.order.weights, max_degree)
+    return Verdict.compare(normal, pbw_degree_counts(alg.x2_weight, max_degree))
 
 
 def solvable_from_relations(relations: RelationSet, order: WeightedOrder,

@@ -10,17 +10,15 @@ growth, the Gelfand-Kirillov dimension of the monomial algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import CertificationError, HypothesisError, InputError
-from .freealg import (FreePoly, GroebnerResult, RelationSet, WeightedOrder,
-                      add_terms, certify_groebner, leading_homogeneous,
-                      word_degree, Word)
+from .freealg import (FreePoly, Presentation, RelationSet, Verdict, WeightedOrder,
+                      add_terms, leading_homogeneous, word_degree, Word)
 from .freealg import (HilbertData, MonomialAlgebra, UfnGraph,  # noqa: F401 (re-exported)
                       build_ufn_graph, hilbert, series_coefficients)
-from .gdu import (GDUAlgebra, RowCheck, X1, X2, X3, pbw_degree_counts,
-                  require_solvable, solvable_from_relations)
+from .gdu import (GDUAlgebra, X1, X2, X3, pbw_degree_counts, require_solvable,
+                  solvable_from_relations)
 from .solvable import SolvableAlgebra
 
 T = 3
@@ -88,26 +86,25 @@ def ufn_growth(mono: MonomialAlgebra) -> Union[int, str]:
     return EXPONENTIAL if any(e > 0 for e in excess) else max(depth, default=0)
 
 
-@dataclass(frozen=True)
-class AssocGraded:
-    relations: RelationSet
-    certificate: GroebnerResult
-    dims: RowCheck  # rows (degree, graded dim, filtration step)
+class AssocGraded(Presentation):
+    """The associated graded algebra, presented by the leading homogeneous
+    parts of the relations and certified as a homogeneous Groebner basis;
+    ``dims`` rows are (degree, graded dim, filtration step)."""
+
+    def __init__(self, alg: GDUAlgebra, check_degree: int):
+        lh = [leading_homogeneous(g, alg.order.weights) for g in alg.relations]
+        super().__init__(alg.gen_names, alg.order, lh, "leading homogeneous parts")
+        graded_dims = hilbert(self.monomial_algebra(), check_degree).coefficients
+        self.dims = Verdict.compare(graded_dims,
+                                    pbw_degree_counts(alg.x2_weight, check_degree))
 
 
 def assoc_graded(alg: GDUAlgebra, check_degree: int = 10) -> AssocGraded:
-    """Presentation of the associated graded algebra by leading homogeneous
-    parts, certified as a homogeneous Groebner basis, with the per-degree
+    """The certified associated graded presentation with its per-degree
     dimension ladder against the PBW filtration."""
     if not alg.supports_graded():
         raise HypothesisError("graded structure requires deg f >= 1")
-    lh = RelationSet([leading_homogeneous(g, alg.order.weights)
-                      for g in alg.relations], alg.order)
-    certificate = certify_groebner(lh, alg.order, "leading homogeneous parts")
-    mono = MonomialAlgebra(alg.gen_names, alg.order.weights, lh.leading_words)
-    graded_dims = hilbert(mono, check_degree).coefficients
-    steps = pbw_degree_counts(alg.x2_weight, check_degree)
-    return AssocGraded(lh, certificate, RowCheck.compare(graded_dims, steps))
+    return AssocGraded(alg, check_degree)
 
 
 def homogenize_poly(poly: FreePoly, weights: Sequence[int],
@@ -123,7 +120,7 @@ def homogenize_poly(poly: FreePoly, weights: Sequence[int],
                      for w, c in poly.terms.items()})
 
 
-class HomogenizedAlgebra:
+class HomogenizedAlgebra(Presentation):
     """Central homogenization of a certified algebra, itself certified.
 
     Generators (X1, X2, X3, T) with T of weight 1 and order
@@ -132,27 +129,14 @@ class HomogenizedAlgebra:
     """
 
     def __init__(self, base: GDUAlgebra, order: WeightedOrder,
-                 relations: RelationSet, certificate: GroebnerResult,
-                 notes: tuple[str, ...]):
+                 polys: Sequence[FreePoly], notes: tuple[str, ...]):
+        super().__init__(HOMOG_GEN_NAMES, order, polys, "homogenized relations", notes)
         self.base = base
-        self.gen_names = HOMOG_GEN_NAMES
-        self.order = order
-        self.relations = relations
-        self.certificate = certificate
-        self.notes = notes
-
-    @property
-    def leading_words(self) -> tuple[Word, ...]:
-        return self.relations.leading_words
 
     def dehomogenize(self, poly: FreePoly) -> FreePoly:
         """Send T to 1, back into the three-generator free algebra."""
         dropped = ((tuple(g for g in word if g != T), c) for word, c in poly.terms.items())
         return FreePoly._raw(add_terms({}, dropped))
-
-    def monomial_algebra(self) -> MonomialAlgebra:
-        return MonomialAlgebra(self.gen_names, self.order.weights,
-                               self.relations.leading_words)
 
 
 def homogenize_algebra(alg: GDUAlgebra) -> HomogenizedAlgebra:
@@ -163,31 +147,29 @@ def homogenize_algebra(alg: GDUAlgebra) -> HomogenizedAlgebra:
     order = WeightedOrder((1, nw, nw, 1), HOMOG_PRECEDENCE)
     hrels = [homogenize_poly(g, alg.order.weights, T) for g in alg.relations]
     hrels += [FreePoly({(i, T): 1, (T, i): -1}) for i in (X1, X2, X3)]
-    relations = RelationSet(hrels, order)
-    certificate = certify_groebner(relations, order, "homogenized relations")
-    if set(relations.leading_words) != set(HOMOG_LEADING_WORDS):
-        raise CertificationError(
-            "unexpected leading-word set after homogenization",
-            relations.leading_words)
-    notes = tuple(alg.notes)
+    notes = alg.notes
     if alg.params.gamma != 0:
         notes += (
             "homogenization note: the relation with leading word X1*X2 "
             "homogenizes with lower term gamma*T*X2; a variant ending in "
             "gamma*T*X3 is not the homogenization of that relation and is "
             "not used",)
-    return HomogenizedAlgebra(alg, order, relations, certificate, notes)
+    homog = HomogenizedAlgebra(alg, order, hrels, notes)
+    if set(homog.leading_words) != HOMOG_LEADING_WORDS:
+        raise CertificationError(
+            "unexpected leading-word set after homogenization", homog.leading_words)
+    return homog
 
 
 def rees_dims(alg: GDUAlgebra, homog: HomogenizedAlgebra,
-              max_degree: int = 10) -> RowCheck:
+              max_degree: int = 10) -> Verdict:
     """Compare per-degree dimensions of the homogenized algebra against the
     cumulative PBW filtration of the base algebra (the computable shadow of
     the Rees-algebra identification)."""
     homog_dims = hilbert(homog.monomial_algebra(), max_degree).coefficients
     # the running totals of the PBW steps: one more factor 1/(1 - t)
     w = alg.x2_weight
-    return RowCheck.compare(homog_dims, series_coefficients((1, w, w, 1), max_degree))
+    return Verdict.compare(homog_dims, series_coefficients((1, w, w, 1), max_degree))
 
 
 def quadratic_check(rels: RelationSet, weights: Sequence[int]) -> bool:

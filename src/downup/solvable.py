@@ -13,13 +13,14 @@ solvable-algebra axioms, left-ideal Groebner bases, and left normal forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
-from .freealg import (GradedOrder, SparsePoly, ScalarLike, interreduce_with,
-                      leading, monic, rewrite_terms)
+from .freealg import (GradedOrder, SparsePoly, ScalarLike, Verdict,
+                      interreduce_with, leading, monic, rewrite_terms)
 
 Exponent = tuple[int, ...]
 
@@ -71,20 +72,9 @@ def word_of_exponent(exp: Exponent) -> tuple[int, ...]:
 
 def exponents_up_to(weights: Sequence[int], bound: int) -> list[Exponent]:
     """All exponent vectors of weighted degree <= bound, sorted by degree-lex."""
-    out: list[Exponent] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, pos: int):
-        if pos == len(weights):
-            out.append(prefix)
-            return
-        w = weights[pos]
-        for a in range(remaining // w + 1):
-            rec(prefix + (a,), remaining - a * w, pos + 1)
-
-    rec((), bound, 0)
     order = PBWGrlexOrder(weights)
-    out.sort(key=order.key)
-    return out
+    boxes = itertools.product(*(range(bound // w + 1) for w in order.weights))
+    return sorted((e for e in boxes if order.degree(e) <= bound), key=order.key)
 
 
 class SolvableAlgebra:
@@ -120,6 +110,14 @@ class SolvableAlgebra:
     @property
     def ngens(self) -> int:
         return len(self.names)
+
+    def check_exponents(self, polys: Iterable[PBWPoly]) -> None:
+        """InputError unless every monomial is an exponent vector with one
+        nonnegative entry per generator."""
+        for p in polys:
+            for exp in p.terms:
+                if len(exp) != self.ngens or any(a < 0 for a in exp):
+                    raise InputError(f"malformed exponent vector {exp}")
 
     def unit_exponent(self) -> Exponent:
         return (0,) * self.ngens
@@ -160,7 +158,9 @@ class SolvableAlgebra:
         return result
 
     def multiply(self, p: PBWPoly, q: PBWPoly) -> PBWPoly:
-        """Bilinear associative product in the PBW basis."""
+        """Bilinear associative product in the PBW basis.  The operands'
+        exponents are not checked: they come from :meth:`monomial` or from an
+        entry that ran :meth:`check_exponents`."""
         result = PBWPoly.zero()
         for e1, c1 in p.terms.items():
             w1 = word_of_exponent(e1)
@@ -176,16 +176,7 @@ class SolvableAlgebra:
         return out
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    ok: bool
-    violations: tuple[str, ...] = field(default_factory=tuple)
-
-    def __bool__(self):
-        return self.ok
-
-
-def verify_solvable(alg: SolvableAlgebra) -> AxiomCheck:
+def verify_solvable(alg: SolvableAlgebra) -> Verdict:
     """Check lambda_ji != 0 and LM(f_ji) < a_i a_j for every rule."""
     problems = []
     order = alg.order
@@ -203,11 +194,11 @@ def verify_solvable(alg: SolvableAlgebra) -> AxiomCheck:
                 problems.append(
                     f"rule {alg.names[j]}*{alg.names[i]}: lower part leads with "
                     f"{lm}, not below {swap}")
-    return AxiomCheck(not problems, tuple(problems))
+    return Verdict(not problems, violations=tuple(problems))
 
 
 def verify_ordering_axioms(alg: SolvableAlgebra, bound: int = 4,
-                           order=None) -> AxiomCheck:
+                           order=None) -> Verdict:
     """Exhaustively certify the monomial-ordering axioms on bounded monomials.
 
     Checks, over all PBW monomials of weighted degree <= bound and all
@@ -234,7 +225,8 @@ def verify_ordering_axioms(alg: SolvableAlgebra, bound: int = 4,
     for m in monos:
         k = order.key(m)
         if k in keys:
-            return AxiomCheck(False, (f"order ties distinct monomials {keys[k]} and {m}",))
+            return Verdict(False, violations=(
+                f"order ties distinct monomials {keys[k]} and {m}",))
         keys[k] = m
 
     def lm_of_product(*exps: Exponent) -> Optional[Exponent]:
@@ -254,7 +246,7 @@ def verify_ordering_axioms(alg: SolvableAlgebra, bound: int = 4,
                 if gamma is None or gamma == unit or beta == gamma:
                     continue
                 if order.compare(beta, gamma) >= 0:
-                    return AxiomCheck(False, (
+                    return Verdict(False, violations=(
                         f"axiom 2: beta={beta} does not precede "
                         f"gamma=LM({alpha}*{beta}*{eta})={gamma}",))
 
@@ -276,11 +268,11 @@ def verify_ordering_axioms(alg: SolvableAlgebra, bound: int = 4,
                     if left is None or right is None or right == unit:
                         continue
                     if order.compare(left, right) >= 0:
-                        return AxiomCheck(False, (
+                        return Verdict(False, violations=(
                             f"axiom 3: alpha={alpha2} < beta={beta2} but "
                             f"LM({gamma}*{alpha2}*{eta})={left} does not precede "
                             f"LM({gamma}*{beta2}*{eta})={right}",))
-    return AxiomCheck(True)
+    return Verdict(True)
 
 
 def _divides(d: Exponent, e: Exponent) -> bool:
@@ -290,6 +282,7 @@ def _divides(d: Exponent, e: Exponent) -> bool:
 def nf_left(alg: SolvableAlgebra, p: PBWPoly, basis: Sequence[PBWPoly]) -> PBWPoly:
     """Left normal form: no term of the remainder is left-divisible by any
     basis leading monomial.  ``p`` lies in the left ideal iff the result is 0."""
+    alg.check_exponents([p, *basis])
     order = alg.order
     lms = [leading(b, order)[0] for b in basis]
 
@@ -331,6 +324,7 @@ def left_buchberger(alg: SolvableAlgebra, gens: Iterable[PBWPoly]) -> list[PBWPo
     """
     order = alg.order
     basis = [monic(g, order) for g in gens if not g.is_zero()]
+    alg.check_exponents(basis)
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
         i, j = pairs.pop(0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from downup.errors import CertificationError, InputError
 from downup.freealg import (COMPLETE, COMPLETE_UP_TO_BOUND, FreePoly,
-                            GroebnerWitness, RelationSet, WeightedOrder,
+                            GroebnerWitness, Presentation, RelationSet, WeightedOrder,
                             certify_groebner, complete, count_normal_words, format_poly, is_groebner,
                             is_normal, leading, leading_homogeneous,
                             normal_form, overlaps, word_degree)
@@ -138,6 +138,16 @@ def test_normal_form_single_rewrite():
     rels = sl2_relation_set()
     nf = normal_form(FreePoly.word((2, 0)), rels, ORDER111)
     assert nf == FreePoly({(0, 2): 1, (2,): -2})  # X1X3 - 2 X3
+
+
+def test_normal_form_rejects_an_order_other_than_the_relations():
+    # the sites come from the set's sorted leading words, the terms from order
+    rels = sl2_relation_set()
+    with pytest.raises(InputError):
+        normal_form(FreePoly.word((2, 0)), rels, WeightedOrder((1, 1, 1)))
+    same = WeightedOrder(ORDER111.weights, ORDER111.precedence)
+    assert normal_form(FreePoly.word((2, 0)), rels, same) == \
+        normal_form(FreePoly.word((2, 0)), rels, ORDER111)
 
 
 def test_normal_form_fixes_normal_words():
@@ -287,6 +297,9 @@ def test_certify_groebner_raises_with_witness():
     witness = info.value.args[1]
     assert isinstance(witness, GroebnerWitness)
     assert witness == is_groebner(rels, ORDER111).witness
+    with pytest.raises(CertificationError) as info:
+        Presentation(("X1", "X2", "X3"), ORDER111, polys, "mutated relations")
+    assert info.value.args == ("mutated relations failed the Groebner check", witness)
     assert certify_groebner(sl2_relation_set(), ORDER111, "sl2").ok
 
 

@@ -118,6 +118,8 @@ def test_preset_unknown_or_bad_args():
         preset("weyl")
     with pytest.raises(InputError):
         preset("sl2", zeta=3)
+    with pytest.raises(InputError):
+        preset("sl2", scheme="nope")
 
 
 # ---------------------------------------------------------------- PBW check

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from downup.errors import InputError
-from downup.freealg import FreePoly, normal_form
+from downup.freealg import FreePoly, normal_form, series_coefficients
 from downup.gdu import (exponent_of_normal_word, normal_word_of_exponent,
                         to_solvable)
 from downup.solvable import (CommutationRule, PBWGrlexOrder, PBWPoly,
@@ -32,6 +32,20 @@ def test_grlex_weighted_unit_below_products():
     order = PBWGrlexOrder((2, 1, 2))
     assert order.compare((0, 1, 0), (0, 1, 1)) == -1  # a_1 < a_1 a_3
     assert order.compare((0, 0, 0), (1, 0, 0)) == -1
+
+
+@pytest.mark.parametrize("weights", [(1,), (1, 1, 1), (1, 2, 2), (2, 1, 2),
+                                     (1, 2, 2, 1), (3, 1, 2)])
+def test_exponents_up_to_counts_and_order(weights):
+    order = PBWGrlexOrder(weights)
+    for bound in range(9):
+        exps = exponents_up_to(weights, bound)
+        counts = [0] * (bound + 1)
+        for e in exps:
+            counts[order.degree(e)] += 1
+        assert counts == series_coefficients(weights, bound)
+        keys = [order.key(e) for e in exps]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 # --------------------------------------------------------- ordering axioms
@@ -152,6 +166,17 @@ def test_left_basis_of_unit_ideal(sl2_solvable):
     assert basis == [sl2_solvable.one()]
     probe = PBWPoly({(2, 0, 1): Fraction(1, 3)})
     assert nf_left(sl2_solvable, probe, basis).is_zero()
+
+
+def test_malformed_exponents_rejected(sl2_solvable):
+    # a wrong length or a negative entry used to pass through unnoticed
+    with pytest.raises(InputError):
+        left_buchberger(sl2_solvable, [PBWPoly({(1, 0): 1})])
+    with pytest.raises(InputError):
+        nf_left(sl2_solvable, PBWPoly({(0, -1, 2): 1}),
+                [sl2_solvable.monomial((0, 0, 1))])
+    with pytest.raises(InputError):
+        nf_left(sl2_solvable, sl2_solvable.one(), [PBWPoly({(0, 0, 1, 0): 1})])
 
 
 def test_left_basis_empty_generators(sl2_solvable):
