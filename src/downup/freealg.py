@@ -427,6 +427,13 @@ class Presentation:
         normal words and hence the same Hilbert series."""
         return MonomialAlgebra(self.gen_names, self.order.weights, self.leading_words)
 
+    def dims(self, max_degree: int) -> Verdict:
+        """Rows (q, normal words, exponent vectors) of weighted degree q for
+        q = 0..max_degree: the normal words against the expansion of the
+        product of 1/(1 - t^w) over the generator weights."""
+        return Verdict.compare(hilbert(self.monomial_algebra(), max_degree).coefficients,
+                               series_coefficients(self.order.weights, max_degree))
+
 
 def rewrite_terms(terms: Mapping[tuple, Fraction], key, rewrite) -> dict[tuple, Fraction]:
     """Rewrite the key-largest term until no term is rewritable.

@@ -23,8 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import CertificationError, HypothesisError, InputError
 from .freealg import (FreePoly, Presentation, RelationSet, Verdict, WeightedOrder,
-                      count_normal_words, leading, scalar, ScalarLike,
-                      series_coefficients, Word)
+                      leading, scalar, ScalarLike, Word)
 from .solvable import CommutationRule, PBWPoly, SolvableAlgebra, verify_solvable
 
 # free-algebra generator indices
@@ -222,15 +221,9 @@ def preset(name: str, scheme: Optional[str] = None, **kwargs) -> GDUAlgebra:
     return build(params, resolved, (note,))
 
 
-def pbw_degree_counts(x2_weight: int, max_degree: int) -> list[int]:
-    """Number of exponent triples (i, j, l) with w*(i+l) + j == q, per q."""
-    return series_coefficients((1, x2_weight, x2_weight), max_degree)
-
-
 def check_pbw(alg: GDUAlgebra, max_degree: int = 8) -> Verdict:
     """Compare normal-word counts against PBW exponent counts per degree."""
-    normal = count_normal_words(alg.leading_words, alg.order.weights, max_degree)
-    return Verdict.compare(normal, pbw_degree_counts(alg.x2_weight, max_degree))
+    return alg.dims(max_degree)
 
 
 def solvable_from_relations(relations: RelationSet, order: WeightedOrder,

@@ -1,11 +1,11 @@
 """Graded structure of a certified algebra: associated graded presentation,
 central homogenization, filtration dimensions, Hilbert series and growth.
 
-Hilbert coefficients come from the overlap-graph counter of ``freealg``
-(``MonomialAlgebra``, ``hilbert``) and expected counts from its
-``series_coefficients``, all re-exported here; the graph's cycle structure
-also decides polynomial versus exponential growth and, for polynomial
-growth, the Gelfand-Kirillov dimension of the monomial algebra.
+Every per-degree dimension check is ``Presentation.dims`` of ``freealg``,
+whose overlap-graph counter (``MonomialAlgebra``, ``hilbert``) and expected
+counts (``series_coefficients``) are re-exported here; the graph's cycle
+structure also decides polynomial versus exponential growth and, for
+polynomial growth, the Gelfand-Kirillov dimension of the monomial algebra.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .freealg import (FreePoly, Presentation, RelationSet, Verdict, WeightedOrde
                       add_terms, leading_homogeneous, word_degree, Word)
 from .freealg import (HilbertData, MonomialAlgebra, UfnGraph,  # noqa: F401 (re-exported)
                       build_ufn_graph, hilbert, series_coefficients)
-from .gdu import (GDUAlgebra, X1, X2, X3, pbw_degree_counts, require_solvable,
+from .gdu import (GDUAlgebra, X1, X2, X3, require_solvable,
                   solvable_from_relations)
 from .solvable import SolvableAlgebra
 
@@ -86,25 +86,13 @@ def ufn_growth(mono: MonomialAlgebra) -> Union[int, str]:
     return EXPONENTIAL if any(e > 0 for e in excess) else max(depth, default=0)
 
 
-class AssocGraded(Presentation):
+def assoc_graded(alg: GDUAlgebra) -> Presentation:
     """The associated graded algebra, presented by the leading homogeneous
-    parts of the relations and certified as a homogeneous Groebner basis;
-    ``dims`` rows are (degree, graded dim, filtration step)."""
-
-    def __init__(self, alg: GDUAlgebra, check_degree: int):
-        lh = [leading_homogeneous(g, alg.order.weights) for g in alg.relations]
-        super().__init__(alg.gen_names, alg.order, lh, "leading homogeneous parts")
-        graded_dims = hilbert(self.monomial_algebra(), check_degree).coefficients
-        self.dims = Verdict.compare(graded_dims,
-                                    pbw_degree_counts(alg.x2_weight, check_degree))
-
-
-def assoc_graded(alg: GDUAlgebra, check_degree: int = 10) -> AssocGraded:
-    """The certified associated graded presentation with its per-degree
-    dimension ladder against the PBW filtration."""
+    parts of the relations and certified as a homogeneous Groebner basis."""
     if not alg.supports_graded():
         raise HypothesisError("graded structure requires deg f >= 1")
-    return AssocGraded(alg, check_degree)
+    lh = [leading_homogeneous(g, alg.order.weights) for g in alg.relations]
+    return Presentation(alg.gen_names, alg.order, lh, "leading homogeneous parts")
 
 
 def homogenize_poly(poly: FreePoly, weights: Sequence[int],
@@ -165,11 +153,12 @@ def rees_dims(alg: GDUAlgebra, homog: HomogenizedAlgebra,
               max_degree: int = 10) -> Verdict:
     """Compare per-degree dimensions of the homogenized algebra against the
     cumulative PBW filtration of the base algebra (the computable shadow of
-    the Rees-algebra identification)."""
-    homog_dims = hilbert(homog.monomial_algebra(), max_degree).coefficients
-    # the running totals of the PBW steps: one more factor 1/(1 - t)
-    w = alg.x2_weight
-    return Verdict.compare(homog_dims, series_coefficients((1, w, w, 1), max_degree))
+    the Rees-algebra identification); InputError unless ``homog`` is the
+    homogenization of ``alg``."""
+    if homog.base is not alg:
+        raise InputError("rees_dims needs the homogenization of the same algebra")
+    # T's weight 1 adds a factor 1/(1 - t): the running totals of the PBW steps
+    return homog.dims(max_degree)
 
 
 def quadratic_check(rels: RelationSet, weights: Sequence[int]) -> bool:

@@ -131,8 +131,8 @@ class SolvableAlgebra:
         return PBWPoly({tuple(exp): 1})
 
     def monomial(self, exp: Exponent, coeff: ScalarLike = 1) -> PBWPoly:
-        if len(exp) != self.ngens:
-            raise InputError("exponent length does not match the generator count")
+        if len(exp) != self.ngens or min(exp, default=0) < 0:
+            raise InputError(f"malformed exponent vector {exp}")
         return PBWPoly({tuple(exp): coeff})
 
     def _normalize_word(self, word: tuple[int, ...]) -> PBWPoly:
@@ -229,8 +229,10 @@ def verify_ordering_axioms(alg: SolvableAlgebra, bound: int = 4,
                 f"order ties distinct monomials {keys[k]} and {m}",))
         keys[k] = m
 
+    monomial = {m: alg.monomial(m) for m in monos}  # checked once, not per product
+
     def lm_of_product(*exps: Exponent) -> Optional[Exponent]:
-        prod = alg.product(*(alg.monomial(e) for e in exps))
+        prod = alg.product(*map(monomial.__getitem__, exps))
         if prod.is_zero():
             return None
         return max(prod.terms, key=order.key)

@@ -1,11 +1,15 @@
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 import downup
-from downup.cli import (algebra_from_spec, cmd_certify, load_spec_file, main,
-                        spec_to_dict)
+from downup.cli import (algebra_from_spec, cmd_certify, cmd_graded, load_spec_file,
+                        main, spec_to_dict)
 from downup.errors import InputError
+from downup.freealg import hilbert
 from downup.report import FAIL, PASS, Report
 
 
@@ -23,6 +27,25 @@ SL2_DOC = {"lambda": 1, "omega": 1, "gamma": 2, "f": [0, -1],
 
 def test_package_all_names_resolve():
     assert [name for name in downup.__all__ if not hasattr(downup, name)] == []
+
+
+def test_traced_names_resolve():
+    # the traced benchmark run wraps these by name: a function through
+    # getattr on its module, a method through its class's own __dict__
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name, module, attr, cls, _ in tracing.TRACED:
+        mod = importlib.import_module(f"downup.{module}")
+        if cls is None:
+            found = callable(getattr(mod, attr, None))
+        else:
+            found = attr in vars(getattr(mod, cls, object))
+        if not found:
+            missing.append(name)
+    assert missing == []
 
 
 # ------------------------------------------------------------- spec parsing
@@ -159,6 +182,15 @@ def test_nf_homogenized_mode_accepts_t(tmp_path, capsys):
     assert main(["nf", "--spec", spec, "T*X1"]) == 2
 
 
+def test_nf_homogenized_parses_before_the_degree_gate(tmp_path, capsys):
+    # deg f = 0 has no homogenization: a bad expression is still an input error
+    spec = write_spec(tmp_path, {"lambda": 1, "omega": 1, "gamma": 2,
+                                 "f": [5], "scheme": "all-ones"})
+    assert main(["nf", "--spec", spec, "--homogenized", "T*Y"]) == 2
+    assert main(["nf", "--spec", spec, "--homogenized", "T*X1"]) == 0
+    assert "SKIP" in capsys.readouterr().out
+
+
 # ------------------------------------------------------------------ graded
 
 def test_graded_subcommands_pass(tmp_path, capsys):
@@ -194,6 +226,19 @@ def test_graded_hilbert_machine_reports_both_forms(tmp_path, capsys):
     assert detail["closed_form"] == "1/((1-t)^2*(1-t^2)^2)"
     assert detail["uniform_weight_form"] == "1/(1-t)^4"
     assert doc["checks"][0]["status"] == "pass"
+
+
+def test_graded_gk_counts_no_dimensions(sl2, monkeypatch):
+    calls = []
+
+    def counting(mono, max_degree):
+        calls.append(max_degree)
+        return hilbert(mono, max_degree)
+
+    monkeypatch.setattr(downup.freealg, "hilbert", counting)
+    monkeypatch.setattr(downup.graded, "hilbert", counting)
+    assert cmd_graded(sl2, "gk", None).exit_code == 0
+    assert calls == []
 
 
 def test_graded_on_constant_f_reports_skip(tmp_path, capsys):

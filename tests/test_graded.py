@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from downup.errors import HypothesisError, InputError
 from downup.freealg import (FreePoly, RelationSet, format_poly, is_groebner,
                             leading_homogeneous, normal_form)
-from downup.gdu import GDUParams, WeightScheme, build, preset
+from downup.gdu import GDUParams, WeightScheme, build, preset, random_params
 from downup.graded import (EXPONENTIAL, HOMOG_LEADING_WORDS, MonomialAlgebra,
                            T, assoc_graded, build_ufn_graph, hilbert,
                            homogenize_algebra, homogenize_poly, quadratic_check,
@@ -39,7 +40,7 @@ def test_assoc_graded_all_ones_keeps_quadratic_f_part(conformal_allones):
         FreePoly({(X3, X2): 1, (X2, X3): -omega, (X1, X1): 1}),
     }
     assert set(result.relations.polys) == expected
-    assert result.certificate.ok and result.dims.ok
+    assert result.certificate.ok and result.dims(10).ok
 
 
 def test_assoc_graded_weighted_drops_f_entirely(degf3):
@@ -51,7 +52,7 @@ def test_assoc_graded_weighted_drops_f_entirely(degf3):
         FreePoly({(X3, X2): 1, (X2, X3): -omega}),
     }
     assert set(result.relations.polys) == expected
-    assert result.certificate.ok and result.dims.ok
+    assert result.certificate.ok and result.dims(10).ok
 
 
 def test_assoc_graded_of_homogeneous_relations_is_identity():
@@ -213,6 +214,43 @@ def test_rees_dimensions_weighted(conformal_degf, degf3):
                         for l in range(q // w - i + 1)
                         for j in range(q - w * (i + l) + 1))
             assert dim_f == count
+
+
+def test_rees_dims_rejects_a_mismatched_pair(sl2, conformal_degf):
+    with pytest.raises(InputError):
+        rees_dims(sl2, homogenize_algebra(conformal_degf), 10)
+
+
+# --------------------------------------------------------------------- dims
+
+def _exponent_counts(weights, max_degree):
+    counts = [0] * (max_degree + 1)
+    for exp in itertools.product(range(max_degree + 1), repeat=len(weights)):
+        degree = sum(e * w for e, w in zip(exp, weights))
+        if degree <= max_degree:
+            counts[degree] += 1
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([(1, WeightScheme.ALL_ONES), (2, WeightScheme.ALL_ONES),
+                        (1, WeightScheme.DEG_F), (2, WeightScheme.DEG_F),
+                        (3, WeightScheme.DEG_F)]),
+       st.integers(0, 6))
+def test_dims_match_the_oracles(seed, case, max_degree):
+    deg_f, scheme = case
+    alg = build(random_params(random.Random(seed), deg_f), scheme)
+    for pres in (alg, assoc_graded(alg), homogenize_algebra(alg)):
+        weights = pres.order.weights
+        normal = [0] * (max_degree + 1)
+        for word in enumerate_normal_words(pres.leading_words, weights, max_degree):
+            normal[sum(weights[g] for g in word)] += 1
+        dims = pres.dims(max_degree)
+        assert [q for q, _, _ in dims.rows] == list(range(max_degree + 1))
+        assert [n for _, n, _ in dims.rows] == normal
+        assert [e for _, _, e in dims.rows] == _exponent_counts(weights, max_degree)
+        assert dims.ok
 
 
 # ------------------------------------------------------------------ hilbert

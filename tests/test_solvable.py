@@ -179,6 +179,12 @@ def test_malformed_exponents_rejected(sl2_solvable):
         nf_left(sl2_solvable, sl2_solvable.one(), [PBWPoly({(0, 0, 1, 0): 1})])
 
 
+def test_monomial_rejects_negative_exponents(sl2_solvable):
+    # a negative count would become no letters and a wrong product
+    with pytest.raises(InputError):
+        sl2_solvable.monomial((0, -1, 2))
+
+
 def test_left_basis_empty_generators(sl2_solvable):
     assert left_buchberger(sl2_solvable, []) == []
 
