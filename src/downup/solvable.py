@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
-from .freealg import (GradedOrder, SparsePoly, ScalarLike, Verdict,
+from .freealg import (GradedOrder, SparsePoly, ScalarLike, Verdict, add_terms,
                       interreduce_with, leading, monic, rewrite_terms)
 
 Exponent = tuple[int, ...]
@@ -105,7 +105,8 @@ class SolvableAlgebra:
             for i in range(j):
                 if (j, i) not in self.rules:
                     raise InputError(f"missing commutation rule for pair ({j}, {i})")
-        self._word_cache: dict[tuple[int, ...], PBWPoly] = {}
+        self._gen_table: dict[tuple[int, Exponent], dict[Exponent, Fraction]] = {}
+        self._pair_table: dict[tuple[Exponent, Exponent], dict[Exponent, Fraction]] = {}
 
     @property
     def ngens(self) -> int:
@@ -126,6 +127,8 @@ class SolvableAlgebra:
         return PBWPoly({self.unit_exponent(): 1})
 
     def generator(self, position: int) -> PBWPoly:
+        if not 0 <= position < self.ngens:
+            raise InputError(f"unknown generator position {position}")
         exp = [0] * self.ngens
         exp[position] = 1
         return PBWPoly({tuple(exp): 1})
@@ -135,39 +138,51 @@ class SolvableAlgebra:
             raise InputError(f"malformed exponent vector {exp}")
         return PBWPoly({tuple(exp): coeff})
 
-    def _normalize_word(self, word: tuple[int, ...]) -> PBWPoly:
-        """Rewrite an arbitrary generator word into the PBW basis."""
-        cached = self._word_cache.get(word)
+    def _times_generator(self, g: int, e: Exponent) -> dict[Exponent, Fraction]:
+        """Terms of x_g * a^e, memoized: with h the first generator of a^e,
+        either x_g a^e is sorted already (g <= h) or, e' being e less one
+        x_h, x_g a^e = lam_gh * x_h (x_g a^e') + f_gh * a^e'."""
+        cached = self._gen_table.get((g, e))
         if cached is not None:
             return cached
-        descent = next((t for t in range(len(word) - 1) if word[t] > word[t + 1]), None)
-        if descent is None:
-            exp = [0] * self.ngens
-            for g in word:
-                exp[g] += 1
-            result = PBWPoly({tuple(exp): 1})
+        h = next((t for t, a in enumerate(e) if a), g)
+        if g <= h:
+            result = {e[:g] + (e[g] + 1,) + e[g + 1:]: Fraction(1)}
         else:
-            j, i = word[descent], word[descent + 1]
-            prefix, suffix = word[:descent], word[descent + 2:]
-            rule = self.rules[(j, i)]
-            result = rule.lam * self._normalize_word(prefix + (i, j) + suffix)
-            for exp, c in rule.f.terms.items():
-                result = result + c * self._normalize_word(
-                    prefix + word_of_exponent(exp) + suffix)
-        self._word_cache[word] = result
+            rest = e[:h] + (e[h] - 1,) + e[h + 1:]
+            rule = self.rules[(g, h)]
+            result = {}
+            for m, c in self._times_generator(g, rest).items():
+                add_terms(result, self._times_generator(h, m).items(), rule.lam * c)
+            for ef, c in rule.f.terms.items():
+                add_terms(result, self._times_monomial(ef, rest).items(), c)
+        self._gen_table[(g, e)] = result
+        return result
+
+    def _times_monomial(self, e1: Exponent, e2: Exponent) -> dict[Exponent, Fraction]:
+        """Terms of a^e1 * a^e2, memoized: the letters of a^e1 are folded
+        into a^e2 from right to left."""
+        cached = self._pair_table.get((e1, e2))
+        if cached is not None:
+            return cached
+        result = {e2: Fraction(1)}
+        for g in reversed(word_of_exponent(e1)):
+            step: dict[Exponent, Fraction] = {}
+            for m, c in result.items():
+                add_terms(step, self._times_generator(g, m).items(), c)
+            result = step
+        self._pair_table[(e1, e2)] = result
         return result
 
     def multiply(self, p: PBWPoly, q: PBWPoly) -> PBWPoly:
         """Bilinear associative product in the PBW basis.  The operands'
         exponents are not checked: they come from :meth:`monomial` or from an
         entry that ran :meth:`check_exponents`."""
-        result = PBWPoly.zero()
+        out: dict[Exponent, Fraction] = {}
         for e1, c1 in p.terms.items():
-            w1 = word_of_exponent(e1)
             for e2, c2 in q.terms.items():
-                result = result + (c1 * c2) * self._normalize_word(
-                    w1 + word_of_exponent(e2))
-        return result
+                add_terms(out, self._times_monomial(e1, e2).items(), c1 * c2)
+        return PBWPoly._raw(out)
 
     def product(self, *factors: PBWPoly) -> PBWPoly:
         out = self.one()

@@ -14,7 +14,8 @@ from downup.freealg import (FreePoly, RelationSet, WeightedOrder,
                             build_ufn_graph, find_subword, rewrite_terms,
                             word_degree)
 from downup.graded import EXPONENTIAL
-from downup.solvable import SolvableAlgebra, exponents_up_to, leading_exp
+from downup.solvable import (PBWPoly, SolvableAlgebra, exponents_up_to,
+                             leading_exp, word_of_exponent)
 
 
 def canonical(poly: FreePoly) -> tuple:
@@ -236,6 +237,44 @@ def left_span(alg: SolvableAlgebra, gens, max_degree: int) -> Echelon:
         for m in exponents_up_to(alg.weights, max_degree - gdeg):
             span.insert(alg.multiply(alg.monomial(m), g).terms)
     return span
+
+
+def normalize_word(alg: SolvableAlgebra, word: tuple[int, ...],
+                   cache: dict) -> PBWPoly:
+    """Rewrite an arbitrary generator word into the PBW basis one adjacent
+    swap at a time, memoized on whole words in ``cache``: the reference for
+    the product table behind ``SolvableAlgebra.multiply``."""
+    cached = cache.get(word)
+    if cached is not None:
+        return cached
+    descent = next((t for t in range(len(word) - 1) if word[t] > word[t + 1]), None)
+    if descent is None:
+        exp = [0] * alg.ngens
+        for g in word:
+            exp[g] += 1
+        result = PBWPoly({tuple(exp): 1})
+    else:
+        j, i = word[descent], word[descent + 1]
+        prefix, suffix = word[:descent], word[descent + 2:]
+        rule = alg.rules[(j, i)]
+        result = rule.lam * normalize_word(alg, prefix + (i, j) + suffix, cache)
+        for exp, c in rule.f.terms.items():
+            result = result + c * normalize_word(
+                alg, prefix + word_of_exponent(exp) + suffix, cache)
+    cache[word] = result
+    return result
+
+
+def multiply_by_words(alg: SolvableAlgebra, p: PBWPoly, q: PBWPoly,
+                      cache: dict) -> PBWPoly:
+    """The PBW product term by term through :func:`normalize_word`."""
+    result = PBWPoly.zero()
+    for e1, c1 in p.terms.items():
+        w1 = word_of_exponent(e1)
+        for e2, c2 in q.terms.items():
+            result = result + (c1 * c2) * normalize_word(
+                alg, w1 + word_of_exponent(e2), cache)
+    return result
 
 
 def brute_multiply_check(alg: SolvableAlgebra, exps) -> bool:

@@ -2,17 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from downup.errors import InputError
 from downup.freealg import FreePoly, normal_form, series_coefficients
 from downup.gdu import (exponent_of_normal_word, normal_word_of_exponent,
-                        to_solvable)
+                        preset, to_solvable)
+from downup.graded import homogenize_algebra, solvable_homogenized
 from downup.solvable import (CommutationRule, PBWGrlexOrder, PBWPoly,
                              SolvableAlgebra, exponents_up_to, leading_exp,
                              left_buchberger, nf_left, verify_ordering_axioms,
                              verify_solvable, word_of_exponent)
 
-from oracles import left_span
+from oracles import left_span, multiply_by_words
 
 
 @pytest.fixture(scope="session")
@@ -157,6 +159,93 @@ def test_product_agrees_with_free_algebra_reduction(sl2, sl2_solvable):
         nf = normal_form(FreePoly.word(word), sl2.relations, sl2.order)
         assert {exponent_of_normal_word(w): c for w, c in nf.terms.items()} == \
             product.terms
+
+
+def test_generator_rejects_out_of_range_position(sl2_solvable):
+    assert sl2_solvable.generator(2) == PBWPoly({(0, 0, 1): 1})
+    for position in (-1, 3):
+        with pytest.raises(InputError):
+            sl2_solvable.generator(position)
+
+
+# ------------------------------------------------------------ product table
+
+TABLE_PRESETS = {"sl2": {}, "woronowicz": {}, "smith": {}, "conformal": {"b": 1},
+                 "down_up": {"alpha": 2, "beta": -1, "gamma": 1}}
+TABLES = [f"{name}/{scheme}/{gens}" for name in TABLE_PRESETS
+          for scheme in ("all-ones", "deg-f") for gens in ("base", "homogenized")]
+
+
+@pytest.fixture(scope="session")
+def product_tables():
+    """Each table with the word cache its reference product keeps."""
+    tables = {}
+    for table in TABLES:
+        name, scheme, gens = table.split("/")
+        alg = preset(name, scheme=scheme, **TABLE_PRESETS[name])
+        sol = (to_solvable(alg) if gens == "base"
+               else solvable_homogenized(homogenize_algebra(alg)))
+        tables[table] = (sol, {})
+    return tables
+
+
+def pbw_operands(ngens: int, top: int):
+    exps = st.tuples(*[st.integers(0, top)] * ngens)
+    coeffs = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    return st.dictionaries(exps, coeffs, min_size=1, max_size=2).map(PBWPoly)
+
+
+@pytest.mark.parametrize("table", TABLES)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_multiply_matches_word_rewriting(product_tables, table, data):
+    alg, cache = product_tables[table]
+    p = data.draw(pbw_operands(alg.ngens, 4))
+    q = data.draw(pbw_operands(alg.ngens, 4))
+    assert alg.multiply(p, q) == multiply_by_words(alg, p, q, cache)
+
+
+@pytest.mark.parametrize("table", TABLES)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_multiply_associative(product_tables, table, data):
+    alg, _ = product_tables[table]
+    p, q, r = (data.draw(pbw_operands(alg.ngens, 3)) for _ in range(3))
+    assert alg.multiply(alg.multiply(p, q), r) == alg.multiply(p, alg.multiply(q, r))
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_leading_monomial_adds_exponents(product_tables, table):
+    alg, _ = product_tables[table]
+    monos = exponents_up_to(alg.weights, 6)
+    for u in monos:
+        for v in exponents_up_to(alg.weights, 6 - alg.order.degree(u)):
+            prod = alg.multiply(alg.monomial(u), alg.monomial(v))
+            assert leading_exp(prod, alg.order)[0] == tuple(a + b for a, b in zip(u, v))
+
+
+def test_products_never_alias_the_memo(sl2):
+    alg = to_solvable(sl2)
+    a, b = alg.monomial((0, 2, 1)), alg.monomial((2, 0, 1))
+    first = alg.multiply(a, b)
+    second = alg.multiply(a, b)
+    first.terms.clear()
+    first.terms[(9, 9, 9)] = 1
+    assert second == multiply_by_words(alg, a, b, {})
+    assert alg.multiply(a, b) == second
+
+
+def test_left_division_unchanged_by_a_warm_table(sl2):
+    gens = [PBWPoly({(1, 1, 0): 1, (0, 0, 1): 2}), PBWPoly({(2, 0, 0): 1})]
+    probe = PBWPoly({(2, 1, 2): 1, (1, 0, 1): Fraction(1, 2)})
+    results = []
+    for warm in (False, True):
+        alg = to_solvable(sl2)
+        if warm:
+            alg.multiply(alg.monomial((2, 1, 1)), alg.monomial((1, 1, 1)))
+        basis = left_buchberger(alg, gens)
+        results.append((basis, nf_left(alg, probe, basis), nf_left(alg, probe, gens)))
+    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------- left Buchberger
