@@ -283,8 +283,8 @@ def normal_form(poly: FreePoly, rels: RelationSet, order: WeightedOrder) -> Free
     ``order`` must equal ``rels.order``, by which the relations are sorted;
     InputError otherwise.
     """
-    if order is not rels.order and (order.weights, order.precedence) != (
-            rels.order.weights, rels.order.precedence):
+    if order is not rels.order and not (isinstance(order, WeightedOrder) and (
+            order.weights, order.precedence) == (rels.order.weights, rels.order.precedence)):
         raise InputError("normal_form order differs from the relation set's order")
     def rewrite(word: Word):
         site = _first_reduction(word, rels)

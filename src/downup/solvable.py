@@ -184,12 +184,6 @@ class SolvableAlgebra:
                 add_terms(out, self._times_monomial(e1, e2).items(), c1 * c2)
         return PBWPoly._raw(out)
 
-    def product(self, *factors: PBWPoly) -> PBWPoly:
-        out = self.one()
-        for f in factors:
-            out = self.multiply(out, f)
-        return out
-
 
 def verify_solvable(alg: SolvableAlgebra) -> Verdict:
     """Check lambda_ji != 0 and LM(f_ji) < a_i a_j for every rule."""
@@ -245,12 +239,15 @@ def verify_ordering_axioms(alg: SolvableAlgebra, bound: int = 4,
         keys[k] = m
 
     monomial = {m: alg.monomial(m) for m in monos}  # checked once, not per product
+    lms: dict[tuple[Exponent, Exponent, Exponent], Optional[Exponent]] = {}
 
-    def lm_of_product(*exps: Exponent) -> Optional[Exponent]:
-        prod = alg.product(*map(monomial.__getitem__, exps))
-        if prod.is_zero():
-            return None
-        return max(prod.terms, key=order.key)
+    def lm_of_product(x: Exponent, y: Exponent, z: Exponent) -> Optional[Exponent]:
+        """LM(a^x a^y a^z) under ``order``, None for a zero product; each
+        triple is multiplied once per call, since ``order`` moves the LM."""
+        if (x, y, z) not in lms:
+            prod = alg.multiply(alg.multiply(monomial[x], monomial[y]), monomial[z])
+            lms[x, y, z] = None if prod.is_zero() else max(prod.terms, key=order.key)
+        return lms[x, y, z]
 
     for alpha in monos:
         for beta in monos:

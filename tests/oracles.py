@@ -9,13 +9,15 @@ degree-bounded slice of the ideal.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
-from downup.freealg import (FreePoly, RelationSet, WeightedOrder,
+from downup.errors import InputError
+from downup.freealg import (FreePoly, RelationSet, Verdict, WeightedOrder,
                             build_ufn_graph, find_subword, rewrite_terms,
                             word_degree)
 from downup.graded import EXPONENTIAL
-from downup.solvable import (PBWPoly, SolvableAlgebra, exponents_up_to,
-                             leading_exp, word_of_exponent)
+from downup.solvable import (Exponent, PBWPoly, SolvableAlgebra,
+                             exponents_up_to, leading_exp, word_of_exponent)
 
 
 def canonical(poly: FreePoly) -> tuple:
@@ -192,15 +194,15 @@ class Echelon:
 def two_sided_span(polys, order: WeightedOrder, max_degree: int) -> Echelon:
     """Echelon basis of span{p * g * q : deg(p g q) <= max_degree}."""
     span = Echelon(order.key)
-    words = words_up_to(order.weights, max_degree)
+    words = [(w, word_degree(w, order.weights))
+             for w in words_up_to(order.weights, max_degree)]
     for g in polys:
         gdeg = g.degree(order.weights)
-        for p in words:
-            pdeg = word_degree(p, order.weights)
+        for p, pdeg in words:
             if pdeg + gdeg > max_degree:
                 continue
-            for q in words:
-                if pdeg + gdeg + word_degree(q, order.weights) > max_degree:
+            for q, qdeg in words:
+                if pdeg + gdeg + qdeg > max_degree:
                     continue
                 span.insert((FreePoly.word(p) * g * FreePoly.word(q)).terms)
     return span
@@ -275,6 +277,92 @@ def multiply_by_words(alg: SolvableAlgebra, p: PBWPoly, q: PBWPoly,
             result = result + (c1 * c2) * normalize_word(
                 alg, w1 + word_of_exponent(e2), cache)
     return result
+
+
+def verify_ordering_axioms(alg: SolvableAlgebra, bound: int = 4,
+                           order=None) -> Verdict:
+    """Exhaustively certify the monomial-ordering axioms on bounded monomials.
+
+    The reference for ``solvable.verify_ordering_axioms``: every bounded
+    product is formed afresh, as a left fold of ``multiply`` from the unit,
+    each time an axiom needs it.
+
+    Checks, over all PBW monomials of weighted degree <= bound and all
+    bounded products formed with the algebra's multiplication:
+
+    1. the comparison is a (finitely certified) total order;
+    2. a monomial never exceeds a nonunit product it divides into, i.e.
+       whenever gamma = LM(a^alpha a^beta a^eta) != 1 and beta != gamma,
+       beta precedes gamma;
+    3. taking leading monomials of products is strictly monotone in each
+       factor, skipping the degenerate zero/unit branches (unreachable here).
+
+    Returns the first violation found.
+    """
+    if bound < 2:
+        raise InputError("bound must be at least 2")
+    if order is None:
+        order = alg.order
+    monos = exponents_up_to(alg.weights, bound)
+    unit = alg.unit_exponent()
+    wdeg = {m: sum(w * a for w, a in zip(alg.weights, m)) for m in monos}
+
+    keys = {}
+    for m in monos:
+        k = order.key(m)
+        if k in keys:
+            return Verdict(False, violations=(
+                f"order ties distinct monomials {keys[k]} and {m}",))
+        keys[k] = m
+
+    monomial = {m: alg.monomial(m) for m in monos}  # checked once, not per product
+
+    def lm_of_product(*exps: Exponent) -> Optional[Exponent]:
+        prod = alg.one()
+        for e in exps:
+            prod = alg.multiply(prod, monomial[e])
+        if prod.is_zero():
+            return None
+        return max(prod.terms, key=order.key)
+
+    for alpha in monos:
+        for beta in monos:
+            if wdeg[alpha] + wdeg[beta] > bound:
+                continue
+            for eta in monos:
+                if wdeg[alpha] + wdeg[beta] + wdeg[eta] > bound:
+                    continue
+                gamma = lm_of_product(alpha, beta, eta)
+                if gamma is None or gamma == unit or beta == gamma:
+                    continue
+                if order.compare(beta, gamma) >= 0:
+                    return Verdict(False, violations=(
+                        f"axiom 2: beta={beta} does not precede "
+                        f"gamma=LM({alpha}*{beta}*{eta})={gamma}",))
+
+    for a_pos, alpha in enumerate(monos):
+        for beta in monos[a_pos + 1:]:
+            if order.compare(alpha, beta) >= 0:
+                alpha2, beta2 = beta, alpha
+            else:
+                alpha2, beta2 = alpha, beta
+            top = max(wdeg[alpha2], wdeg[beta2])
+            for gamma in monos:
+                if wdeg[gamma] + top > bound:
+                    continue
+                for eta in monos:
+                    if wdeg[gamma] + top + wdeg[eta] > bound:
+                        continue
+                    left = lm_of_product(gamma, alpha2, eta)
+                    right = lm_of_product(gamma, beta2, eta)
+                    if left is None or right is None or right == unit:
+                        continue
+                    if order.compare(left, right) >= 0:
+                        return Verdict(False, violations=(
+                            f"axiom 3: alpha={alpha2} < beta={beta2} but "
+                            f"LM({gamma}*{alpha2}*{eta})={left} does not precede "
+                            f"LM({gamma}*{beta2}*{eta})={right}",))
+    return Verdict(True)
 
 
 def brute_multiply_check(alg: SolvableAlgebra, exps) -> bool:

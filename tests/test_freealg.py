@@ -11,6 +11,7 @@ from downup.freealg import (COMPLETE, COMPLETE_UP_TO_BOUND, FreePoly,
                             is_normal, leading, leading_homogeneous,
                             normal_form, overlaps, word_degree)
 from downup.gdu import GDUParams, defining_relations
+from downup.solvable import PBWGrlexOrder
 
 from oracles import (canonical, enumerate_normal_words, exhaustive_normal_forms,
                      groebner_by_dimension, ideal_member, normal_form_by_compare,
@@ -148,6 +149,13 @@ def test_normal_form_rejects_an_order_other_than_the_relations():
     same = WeightedOrder(ORDER111.weights, ORDER111.precedence)
     assert normal_form(FreePoly.word((2, 0)), rels, same) == \
         normal_form(FreePoly.word((2, 0)), rels, ORDER111)
+
+
+def test_normal_form_rejects_an_order_without_precedence():
+    # an exponent-vector order has weights but no precedence to compare
+    rels = sl2_relation_set()
+    with pytest.raises(InputError):
+        normal_form(FreePoly.word((2, 0)), rels, PBWGrlexOrder((1, 1, 1)))
 
 
 def test_normal_form_fixes_normal_words():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from downup.errors import InputError
 from downup.freealg import FreePoly, normal_form, series_coefficients
@@ -14,6 +14,7 @@ from downup.solvable import (CommutationRule, PBWGrlexOrder, PBWPoly,
                              left_buchberger, nf_left, verify_ordering_axioms,
                              verify_solvable, word_of_exponent)
 
+import oracles
 from oracles import left_span, multiply_by_words
 
 
@@ -57,15 +58,22 @@ def test_ordering_axioms_hold_for_presets(sl2_solvable, conformal_degf):
     assert verify_ordering_axioms(to_solvable(conformal_degf), bound=4).ok
 
 
-class WordLexOrder:
-    """Degree-ignoring left-to-right word comparison; not a monomial order."""
+class KeyOrder:
+    """An order given by its sort key alone; need not be a monomial order."""
 
-    def key(self, exp):
-        return word_of_exponent(exp)
+    def __init__(self, key):
+        self.key = key
 
     def compare(self, e1, e2):
         k1, k2 = self.key(e1), self.key(e2)
         return -1 if k1 < k2 else (0 if k1 == k2 else 1)
+
+
+class WordLexOrder(KeyOrder):
+    """Degree-ignoring left-to-right word comparison; not a monomial order."""
+
+    def __init__(self):
+        super().__init__(word_of_exponent)
 
 
 def test_ordering_axioms_reject_pure_word_lex(sl2_solvable):
@@ -246,6 +254,53 @@ def test_left_division_unchanged_by_a_warm_table(sl2):
         basis = left_buchberger(alg, gens)
         results.append((basis, nf_left(alg, probe, basis), nf_left(alg, probe, gens)))
     assert results[0] == results[1]
+
+
+# ------------------------------------ ordering axioms against the reference
+
+AXIOM_ORDERS = ("own", "word-lex", "degree-reversed", "lex")
+
+
+def axiom_order(alg, name):
+    """The table's own order, or one of three keys that are not it; "lex"
+    compares exponent vectors alone and ignores degree."""
+    own = alg.order
+    return {"own": own,
+            "word-lex": WordLexOrder(),
+            "degree-reversed": KeyOrder(lambda e: (-own.degree(e), own.key(e))),
+            "lex": KeyOrder(lambda e: e)}[name]
+
+
+@pytest.fixture(scope="session")
+def table_algebras(product_tables):
+    """The tables' algebras without their word caches: Hypothesis prints
+    every argument of an explicit example, and the caches grow to millions
+    of terms."""
+    return {table: alg for table, (alg, _) in product_tables.items()}
+
+
+@pytest.fixture(scope="session")
+def reference_verdicts():
+    """The exhaustive reference's Verdict per (table, bound, order name)."""
+    return {}
+
+
+@pytest.mark.parametrize("table", TABLES)
+@given(bound=st.integers(2, 4),
+       names=st.permutations(AXIOM_ORDERS).map(lambda p: p[:2]))
+@example(bound=3, names=("own", "lex"))
+@settings(max_examples=3, deadline=None)
+def test_ordering_axioms_match_exhaustive_reference(table_algebras, reference_verdicts,
+                                                    table, bound, names):
+    # two orders one after the other on one algebra: each verdict, violation
+    # text included, must match the reference whatever ran on it before
+    alg = table_algebras[table]
+    for name in names:
+        order = axiom_order(alg, name)
+        key = (table, bound, name)
+        if key not in reference_verdicts:
+            reference_verdicts[key] = oracles.verify_ordering_axioms(alg, bound, order)
+        assert verify_ordering_axioms(alg, bound, order) == reference_verdicts[key]
 
 
 # ---------------------------------------------------------- left Buchberger
