@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 from . import gdu, graded
 from .errors import CertificationError, DownupError, HypothesisError, InputError
 from .exprs import parse_expression
-from .freealg import FreePoly, format_poly, normal_form
+from .freealg import FreePoly, format_poly
 from .gdu import GDUAlgebra, GDUParams, WeightScheme
 from .report import FAIL, PASS, Report, SKIP, plain
 from .solvable import verify_ordering_axioms
@@ -131,9 +132,8 @@ def cmd_certify(alg: GDUAlgebra, degree: int, order_bound: int,
             e2 = tuple(rng.randint(0, 2) for _ in range(3))
             product = sol.multiply(sol.monomial(e1), sol.monomial(e2))
             word = gdu.normal_word_of_exponent(e1) + gdu.normal_word_of_exponent(e2)
-            reduced = normal_form(FreePoly.word(word), alg.relations, alg.order)
             expected = {gdu.exponent_of_normal_word(w): c
-                        for w, c in reduced.terms.items()}
+                        for w, c in alg.normal_form(FreePoly.word(word)).terms.items()}
             if expected != product.terms:
                 mismatches += 1
         report.add("product-agreement", PASS if mismatches == 0 else FAIL,
@@ -149,8 +149,7 @@ def cmd_nf(alg: GDUAlgebra, expression: str, homogenized: bool) -> Report:
     names = graded.HOMOG_GEN_NAMES if homogenized else alg.gen_names
     poly = parse_expression(expression, {name: g for g, name in enumerate(names)})
     pres = graded.homogenize_algebra(alg) if homogenized else alg
-    reduced = normal_form(poly, pres.relations, pres.order)
-    rendered = format_poly(reduced, pres.order, pres.gen_names)
+    rendered = format_poly(pres.normal_form(poly), pres.order, pres.gen_names)
     report.add("normal-form", PASS, rendered,
                input=expression, normal_form=rendered)
     return report
@@ -230,6 +229,7 @@ def cmd_presets() -> Report:
     return report
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="downup",

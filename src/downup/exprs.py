@@ -4,8 +4,8 @@ Grammar (whitespace insignificant):
 
     expr    := term {('+' | '-') term}
     term    := factor {'*' factor}
-    factor  := primary ['^' INT]
-    primary := INT ['/' INT] | NAME | '(' expr ')' | '-' primary
+    factor  := '-' factor | primary ['^' INT]
+    primary := INT ['/' INT] | NAME | '(' expr ')'
 
 Products are noncommutative concatenation; INT '/' INT is an exact rational
 literal.
@@ -50,6 +50,13 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, ops: str):
+        tok = self.peek()
+        if tok is None or tok[0] != "op" or tok[1] not in ops:
+            return None
+        self.pos += 1
+        return tok[1]
+
     def expect_op(self, op: str):
         tok = self.take()
         if tok[0] != "op" or tok[1] != op:
@@ -64,28 +71,21 @@ class _Parser:
 
     def expr(self) -> FreePoly:
         poly = self.term()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                return poly
-            self.take()
-            rhs = self.term()
-            poly = poly + rhs if tok[1] == "+" else poly - rhs
+        while op := self.accept("+-"):
+            poly = poly + self.term() if op == "+" else poly - self.term()
+        return poly
 
     def term(self) -> FreePoly:
         poly = self.factor()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] != "*":
-                return poly
-            self.take()
+        while self.accept("*"):
             poly = poly * self.factor()
+        return poly
 
     def factor(self) -> FreePoly:
+        if self.accept("-"):
+            return -self.factor()
         poly = self.primary()
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "^":
-            self.take()
+        if self.accept("^"):
             exp_tok = self.take()
             if exp_tok[0] != "int":
                 raise InputError(f"expected integer exponent at column {exp_tok[2] + 1}")
@@ -96,12 +96,9 @@ class _Parser:
         return poly
 
     def primary(self) -> FreePoly:
-        tok = self.take()
-        kind, value, col = tok
+        kind, value, col = self.take()
         if kind == "int":
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
-                self.take()
+            if self.accept("/"):
                 den_tok = self.take()
                 if den_tok[0] != "int":
                     raise InputError(
@@ -119,8 +116,6 @@ class _Parser:
             inner = self.expr()
             self.expect_op(")")
             return inner
-        if kind == "op" and value == "-":
-            return -self.primary()
         raise InputError(f"unexpected token {value!r} at column {col + 1}")
 
 

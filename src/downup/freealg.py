@@ -422,6 +422,10 @@ class Presentation:
     def leading_words(self) -> tuple[Word, ...]:
         return self.relations.leading_words
 
+    def normal_form(self, poly: FreePoly) -> FreePoly:
+        """The normal form of ``poly`` modulo the relations."""
+        return normal_form(poly, self.relations, self.order)
+
     def monomial_algebra(self) -> "MonomialAlgebra":
         """The monomial algebra of the leading words, which has the same
         normal words and hence the same Hilbert series."""

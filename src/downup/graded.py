@@ -120,6 +120,26 @@ class HomogenizedAlgebra(Presentation):
                  polys: Sequence[FreePoly], notes: tuple[str, ...]):
         super().__init__(HOMOG_GEN_NAMES, order, polys, "homogenized relations", notes)
         self.base = base
+        if set(self.leading_words) != HOMOG_LEADING_WORDS:
+            raise CertificationError(
+                "unexpected leading-word set after homogenization", self.leading_words)
+
+    def normal_form(self, poly: FreePoly) -> FreePoly:
+        """The normal form read off the base algebra: the degree-d component
+        of ``poly``, with T set to 1, is reduced there, and each word w of the
+        result is padded to T^(d - deg w) w.  This is NF_T(poly): the relations
+        are a certified Groebner basis, so NF_T(p) is unique and homogeneous,
+        and by the leading-word set its words are T^a w with w base-normal.
+        T = 1 is injective on words of one degree and maps the homogenized
+        ideal into the base ideal, so NF_T(p)|_{T=1} is the base NF(p|_{T=1}).
+        """
+        weights, parts = self.order.weights, {}
+        for word, c in poly.terms.items():
+            parts.setdefault(word_degree(word, weights), {})[word] = c
+        reduced = {d: self.base.normal_form(self.dehomogenize(FreePoly._raw(terms)))
+                   for d, terms in parts.items()}
+        return FreePoly._raw({(T,) * (d - word_degree(w, weights)) + w: c
+                              for d, nf in reduced.items() for w, c in nf.terms.items()})
 
     def dehomogenize(self, poly: FreePoly) -> FreePoly:
         """Send T to 1, back into the three-generator free algebra."""
@@ -142,11 +162,7 @@ def homogenize_algebra(alg: GDUAlgebra) -> HomogenizedAlgebra:
             "homogenizes with lower term gamma*T*X2; a variant ending in "
             "gamma*T*X3 is not the homogenization of that relation and is "
             "not used",)
-    homog = HomogenizedAlgebra(alg, order, hrels, notes)
-    if set(homog.leading_words) != HOMOG_LEADING_WORDS:
-        raise CertificationError(
-            "unexpected leading-word set after homogenization", homog.leading_words)
-    return homog
+    return HomogenizedAlgebra(alg, order, hrels, notes)
 
 
 def rees_dims(alg: GDUAlgebra, homog: HomogenizedAlgebra,

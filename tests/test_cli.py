@@ -149,6 +149,9 @@ def test_nf_examples(tmp_path, capsys):
     assert "normal-form  PASS  1" in out
     assert main(["nf", "--spec", spec, "X3*X1*X2"]) == 0
     assert "X2*X1*X3 + X1^2 - 4*X2*X3 - 2*X1" in capsys.readouterr().out
+    # unary minus binds tighter than '^': -(X1^2), not (-X1)^2
+    assert main(["nf", "--spec", spec, "--", "-X1^2"]) == 0
+    assert "normal-form  PASS  -X1^2" in capsys.readouterr().out
 
 
 def test_nf_rational_coefficients_and_parens(tmp_path, capsys):
@@ -164,6 +167,10 @@ def test_expression_grammar_edges():
     gens = {"X1": 0, "X2": 1}
     assert parse_expression("X1^0", gens) == FreePoly.one()
     assert parse_expression("2^3", gens) == FreePoly({(): 8})
+    assert parse_expression("-X1^2", gens) == FreePoly({(0, 0): -1})
+    assert parse_expression("X2*-X1^2", gens) == FreePoly({(1, 0, 0): -1})
+    assert parse_expression("-2^2", gens) == FreePoly({(): -4})
+    assert parse_expression("--X1", gens) == parse_expression("X1", gens)
     assert parse_expression("-(X1 - X2)*X1", gens) == \
         FreePoly({(0, 0): -1, (1, 0): 1})
     assert parse_expression("1/2*X1 + 1/2*X1", gens) == FreePoly({(0,): 1})
@@ -172,6 +179,29 @@ def test_expression_grammar_edges():
     for bad in ("", "X1 +", "1/0", "X1 ^ X2", "(X1", "X1 $ X2"):
         with pytest.raises(InputError):
             parse_expression(bad, gens)
+
+
+def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    import argparse
+    from downup import cli
+    cli._build_parser.cache_clear()
+    runs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["nf", "--spec", "spec.json"])  # no expression: a usage error
+        runs.append((exc.value.code, capsys.readouterr().err))
+    assert runs[0] == runs[1] and runs[0][0] == 2 and "expression" in runs[0][1]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["nf", "--spec", write_spec(tmp_path, SL2_DOC), "X3*X1"]) == 0
+    assert "X1*X3 - 2*X3" in capsys.readouterr().out
+    assert built == []
 
 
 def test_nf_homogenized_mode_accepts_t(tmp_path, capsys):

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from downup.errors import HypothesisError, InputError
-from downup.freealg import (FreePoly, RelationSet, format_poly, is_groebner,
-                            leading_homogeneous, normal_form)
+from downup.errors import CertificationError, HypothesisError, InputError
+from downup.freealg import (FreePoly, RelationSet, WeightedOrder, format_poly,
+                            is_groebner, leading_homogeneous, normal_form)
 from downup.gdu import GDUParams, WeightScheme, build, preset, random_params
-from downup.graded import (EXPONENTIAL, HOMOG_LEADING_WORDS, MonomialAlgebra,
-                           T, assoc_graded, build_ufn_graph, hilbert,
+from downup.graded import (EXPONENTIAL, HOMOG_LEADING_WORDS, HomogenizedAlgebra,
+                           MonomialAlgebra, T, assoc_graded, build_ufn_graph, hilbert,
                            homogenize_algebra, homogenize_poly, quadratic_check,
                            rees_dims, series_coefficients, series_form,
                            solvable_homogenized, ufn_growth)
@@ -126,6 +126,16 @@ def test_homogenize_algebra_certificate_and_leading_words(sl2, conformal_degf, d
         assert len(homog.relations) == 6
 
 
+def test_homogenized_algebra_requires_the_leading_word_set():
+    # with T largest the same relations are a certified basis whose leading
+    # words are T*Xi: its normal words are not T^a w, which normal_form needs
+    alg = build(GDUParams.make(1, 1, 0, [0, 0, 1]), WeightScheme.ALL_ONES)
+    homog = homogenize_algebra(alg)
+    t_largest = WeightedOrder(homog.order.weights, (X2, X1, X3, T))
+    with pytest.raises(CertificationError, match="leading-word set"):
+        HomogenizedAlgebra(alg, t_largest, homog.relations.polys, ())
+
+
 def test_homogenize_already_homogeneous_adds_only_commutators():
     alg = build(GDUParams.make(1, 1, 0, [0, 0, 1]), WeightScheme.ALL_ONES)
     homog = homogenize_algebra(alg)
@@ -185,6 +195,52 @@ def test_dehomogenization_commutes_with_normal_form(case, word):
     p = FreePoly.word(word)
     reduced = homog.dehomogenize(normal_form(p, homog.relations, homog.order))
     assert reduced == normal_form(homog.dehomogenize(p), alg.relations, alg.order)
+
+
+HOMOG_NF_PRESETS = {"sl2": {}, "smith": {}, "woronowicz": {}, "conformal": {},
+                    "down_up": {"alpha": 1, "beta": 2, "gamma": 1}}
+
+
+def _words(max_size):
+    return st.lists(st.sampled_from((X1, X2, X3, T)), max_size=max_size).map(tuple)
+
+
+@functools.cache
+def _homogenization(source, seed, deg_f, scheme):
+    if source == "random":
+        alg = build(random_params(random.Random(seed), deg_f), WeightScheme(scheme))
+    else:
+        alg = preset(source, scheme=scheme, **HOMOG_NF_PRESETS[source])
+    return homogenize_algebra(alg)
+
+
+SL2 = ("sl2", 0, 0, "all-ones")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+           st.tuples(st.sampled_from(sorted(HOMOG_NF_PRESETS)), st.just(0), st.just(0),
+                     st.sampled_from(("all-ones", "deg-f"))),
+           st.tuples(st.just("random"), st.integers(0, 40), st.integers(1, 3),
+                     st.sampled_from(("all-ones", "deg-f"))).filter(
+               lambda c: c[2] <= 2 or c[3] == "deg-f")),
+       st.dictionaries(_words(6), st.sampled_from(
+           (Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2))), min_size=1, max_size=4),
+       st.none() | st.tuples(st.integers(0, 2), _words(2), _words(2)))
+@example(SL2, {(): 3}, None)  # a constant
+@example(SL2, {(T, X3, X1): 1, (X1,): 2, (): -1}, None)  # mixed degrees, T inside
+@example(SL2, {(X1, X2): 1, (X2, X1): -1}, None)  # the top degree cancels
+@example(("conformal", 0, 0, "deg-f"), {(X1,): 1}, (2, (T,), (X1,)))
+def test_homogenized_normal_form_matches_generic_reduction(case, terms, cancel):
+    # the override, read off the base algebra, against reduction by the
+    # homogenized relations themselves
+    homog = _homogenization(*case)
+    p = FreePoly(terms)
+    if cancel is not None:  # u * (top part of a base relation) * v
+        i, u, v = cancel
+        top = leading_homogeneous(homog.base.relations.polys[i], homog.base.order.weights)
+        p = p + FreePoly.word(u) * top * FreePoly.word(v)
+    assert homog.normal_form(p) == normal_form(p, homog.relations, homog.order)
 
 
 # -------------------------------------------------------------------- rees
