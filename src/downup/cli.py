@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from typing import Optional, Sequence
@@ -288,21 +289,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except HypothesisError as exc:
         report = Report(args.command)
         report.add(args.command, SKIP, f"skipped: {exc}")
-        print(report.render(args.format))
-        return 0
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CertificationError as exc:
         report = Report(args.command)
         report.add("certification", FAIL, str(exc.args[0]),
                    witness=str(exc.args[1]) if len(exc.args) > 1 else "")
-        print(report.render(args.format))
-        return 1
     except DownupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(report.render(args.format))
+    try:
+        print(report.render(args.format), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is still buffered to
+        # /dev/null so that the interpreter's last flush cannot fail again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return report.exit_code
 
 

@@ -541,7 +541,7 @@ class MonomialAlgebra:
     def __init__(self, gen_names: Sequence[str], weights: Sequence[int],
                  obstructions: Iterable[Word]):
         self.gen_names = tuple(gen_names)
-        self.weights = tuple(int(w) for w in weights)
+        self.weights = GradedOrder(weights).weights
         if len(self.gen_names) != len(self.weights):
             raise InputError("one weight per generator required")
         words = sorted({tuple(o) for o in obstructions}, key=lambda w: (len(w), w))
@@ -602,7 +602,9 @@ def hilbert(mono: MonomialAlgebra, max_degree: int) -> HilbertData:
 
     Words shorter than the graph window are enumerated directly; all longer
     words correspond to paths in the overlap graph and are counted by
-    dynamic programming on (degree, end vertex).
+    dynamic programming on (degree, end vertex): each vertex's count at
+    degree q is pushed along its out-edges, and since every weight is
+    positive, degree q is final once the loop reaches it.
     """
     if max_degree < 0:
         raise InputError("degree must be >= 0")
@@ -619,19 +621,15 @@ def hilbert(mono: MonomialAlgebra, max_degree: int) -> HilbertData:
             if d <= max_degree:
                 h[d] += 1
 
-    vdeg = {v: word_degree(v, weights) for v in graph.vertices}
-    incoming: dict[Word, list[tuple[Word, int]]] = {v: [] for v in graph.vertices}
-    for u, v, g in graph.edges:
-        incoming[v].append((u, g))
     ways = {v: [0] * (max_degree + 1) for v in graph.vertices}
+    for v in graph.vertices:
+        d = word_degree(v, weights)
+        if d <= max_degree:
+            ways[v][d] = 1
     for q in range(max_degree + 1):
-        for v in graph.vertices:
-            total = 1 if vdeg[v] == q else 0
-            for u, g in incoming[v]:
-                prev = q - weights[g]
-                if prev >= 0:
-                    total += ways[u][prev]
-            ways[v][q] = total
+        for u, v, g in graph.edges:
+            if ways[u][q] and q + weights[g] <= max_degree:
+                ways[v][q + weights[g]] += ways[u][q]
         h[q] += sum(ways[v][q] for v in graph.vertices)
     return HilbertData(tuple(h))
 
@@ -649,7 +647,7 @@ def series_coefficients(weights: Sequence[int], max_degree: int) -> list[int]:
     """Taylor coefficients of the product of 1/(1 - t^w) over the weights:
     the count of exponent vectors per weighted degree 0..max_degree."""
     coeffs = [1] + [0] * max_degree
-    for w in weights:
+    for w in GradedOrder(weights).weights:
         for q in range(w, max_degree + 1):
             coeffs[q] += coeffs[q - w]
     return coeffs

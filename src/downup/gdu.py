@@ -23,8 +23,9 @@ from typing import Optional, Sequence
 
 from .errors import CertificationError, HypothesisError, InputError
 from .freealg import (FreePoly, Presentation, RelationSet, Verdict, WeightedOrder,
-                      leading, scalar, ScalarLike, Word)
-from .solvable import CommutationRule, PBWPoly, SolvableAlgebra, verify_solvable
+                      scalar, ScalarLike, Word)
+from .solvable import (CommutationRule, PBWPoly, SolvableAlgebra, exponent_of_word,
+                       verify_solvable, word_of_exponent)
 
 # free-algebra generator indices
 X1, X2, X3 = 0, 1, 2
@@ -205,10 +206,9 @@ PRESETS = {
 def preset(name: str, scheme: Optional[str] = None, **kwargs) -> GDUAlgebra:
     """Build a named member of the family; see PRESETS for the argument docs.
     The scheme defaults to all-ones when deg f <= 2 and deg-f otherwise."""
-    try:
-        make, _ = PRESETS[name]
-    except KeyError:
+    if not isinstance(name, str) or name not in PRESETS:
         raise InputError(f"unknown preset {name!r}; known: {', '.join(sorted(PRESETS))}")
+    make, _ = PRESETS[name]
     try:
         params, note = make(**kwargs)
     except TypeError as exc:
@@ -226,18 +226,20 @@ def check_pbw(alg: GDUAlgebra, max_degree: int = 8) -> Verdict:
     return alg.dims(max_degree)
 
 
-def solvable_from_relations(relations: RelationSet, order: WeightedOrder,
-                            sequence: Sequence[int], names: Sequence[str],
+def solvable_from_relations(relations: RelationSet, gen_names: Sequence[str],
                             weights: Sequence[int]) -> SolvableAlgebra:
     """Derive a solvable-algebra commutation table from certified relations.
 
-    ``sequence`` lists the free-algebra generator indices in PBW order
-    (smallest first).  For each pair the relation with leading word
-    a_j*a_i is rewritten as a_j*a_i = lam*a_i*a_j + f with f expressed in
-    the PBW basis; tails that are not PBW-sorted, and tables that fail
-    :func:`verify_solvable`, are rejected with CertificationError.
+    The PBW generator sequence is the precedence of ``relations.order``
+    (smallest first), and ``weights`` are listed in that sequence.  For each
+    pair the relation with leading word a_j*a_i is rewritten as
+    a_j*a_i = lam*a_i*a_j + f with f expressed in the PBW basis; tails that
+    are not PBW-sorted, and tables that fail :func:`verify_solvable`, are
+    rejected with CertificationError.
     """
-    by_lm = {leading(r, order)[0]: r for r in relations}
+    sequence = relations.order.precedence
+    names = tuple(gen_names[g] for g in sequence)
+    by_lm = dict(zip(relations.leading_words, relations.polys))
     rules = []
     for pj in range(len(sequence)):
         for pi in range(pj):
@@ -282,35 +284,17 @@ def to_solvable(alg: GDUAlgebra) -> SolvableAlgebra:
     """
     require_solvable(alg.params)
     n = alg.deg_f
-    return solvable_from_relations(
-        alg.relations, alg.order, sequence=(X2, X1, X3),
-        names=("X2", "X1", "X3"), weights=(n, 1, n))
+    return solvable_from_relations(alg.relations, alg.gen_names, weights=(n, 1, n))
 
 
 def normal_word_of_exponent(exp: Sequence[int]) -> Word:
     """The normal word X2^i X1^j X3^l for a PBW exponent (i, j, l)."""
-    i, j, l = exp
-    return (X2,) * i + (X1,) * j + (X3,) * l
-
-
-def exponent_of_word(word: Word, sequence: Sequence[int]) -> tuple[int, ...]:
-    """Exponent vector of a word whose letters follow ``sequence`` (generator
-    indices, PBW order); InputError for any other word."""
-    exp = [0] * len(sequence)
-    last = 0
-    for g in word:
-        pos = sequence.index(g) if g in sequence else -1
-        if pos < last:
-            raise InputError(f"word {word} is not a PBW monomial in the "
-                             f"generator sequence {tuple(sequence)}")
-        last = pos
-        exp[pos] += 1
-    return tuple(exp)
+    return tuple(PRECEDENCE[p] for p in word_of_exponent(exp))
 
 
 def exponent_of_normal_word(word: Word) -> tuple[int, int, int]:
     """Inverse of :func:`normal_word_of_exponent`; rejects non-normal words."""
-    return exponent_of_word(word, (X2, X1, X3))
+    return exponent_of_word(word, PRECEDENCE)
 
 
 def random_params(rng, deg_f: Optional[int] = None) -> GDUParams:

@@ -191,9 +191,7 @@ def solvable_homogenized(homog: HomogenizedAlgebra) -> SolvableAlgebra:
     base = homog.base
     require_solvable(base.params)
     n = base.deg_f
-    return solvable_from_relations(
-        homog.relations, homog.order, sequence=(T, X2, X1, X3),
-        names=("T", "X2", "X1", "X3"), weights=(1, n, 1, n))
+    return solvable_from_relations(homog.relations, homog.gen_names, weights=(1, n, 1, n))
 
 
 def series_form(weights: Sequence[int]) -> str:

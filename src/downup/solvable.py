@@ -70,6 +70,21 @@ def word_of_exponent(exp: Exponent) -> tuple[int, ...]:
     return tuple(out)
 
 
+def exponent_of_word(word: Sequence[int], sequence: Sequence[int]) -> Exponent:
+    """Exponent vector of a word whose letters follow ``sequence`` (generator
+    indices, smallest first); InputError for any other word."""
+    exp = [0] * len(sequence)
+    last = 0
+    for g in word:
+        pos = sequence.index(g) if g in sequence else -1
+        if pos < last:
+            raise InputError(f"word {word} is not a PBW monomial in the "
+                             f"generator sequence {tuple(sequence)}")
+        last = pos
+        exp[pos] += 1
+    return tuple(exp)
+
+
 def exponents_up_to(weights: Sequence[int], bound: int) -> list[Exponent]:
     """All exponent vectors of weighted degree <= bound, sorted by degree-lex."""
     order = PBWGrlexOrder(weights)
@@ -80,22 +95,21 @@ def exponents_up_to(weights: Sequence[int], bound: int) -> list[Exponent]:
 class SolvableAlgebra:
     """A PBW algebra presented by one commutation rule per generator pair.
 
-    Generators are listed smallest-first; the default order is the weighted
-    graded lexicographic one.  Construction validates only the shape of the
+    Generators are listed smallest-first under the weighted graded
+    lexicographic order.  Construction validates only the shape of the
     data -- use :func:`verify_solvable` / :func:`verify_ordering_axioms` for
     the axioms themselves.  The product assumes the solvable axioms hold
     (rewriting may fail to terminate otherwise).
     """
 
     def __init__(self, names: Sequence[str], weights: Sequence[int],
-                 rules: Iterable[CommutationRule],
-                 order: Optional[PBWGrlexOrder] = None):
+                 rules: Iterable[CommutationRule]):
+        self.order = PBWGrlexOrder(weights)
+        self.weights = self.order.weights
         self.names = tuple(names)
-        self.weights = tuple(int(w) for w in weights)
         if len(self.names) != len(self.weights):
             raise InputError("one weight per generator required")
         n = len(self.names)
-        self.order = order if order is not None else PBWGrlexOrder(self.weights)
         self.rules: dict[tuple[int, int], CommutationRule] = {}
         for rule in rules:
             if rule.j >= n:

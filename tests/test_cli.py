@@ -1,6 +1,9 @@
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -276,6 +279,30 @@ def test_graded_on_constant_f_reports_skip(tmp_path, capsys):
                                  "f": [5], "scheme": "all-ones"})
     assert main(["graded", "assoc", "--spec", spec]) == 0
     assert "SKIP" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", [["sl2"], {"a": 1}])
+def test_preset_name_that_is_not_a_string_is_input_error(tmp_path, capsys, name):
+    spec = write_spec(tmp_path, {"preset": name})
+    assert main(["certify", "--spec", spec]) == 2
+    assert "unknown preset" in capsys.readouterr().err
+
+
+def test_closed_stdout_keeps_the_exit_code_without_traceback(tmp_path):
+    spec = write_spec(tmp_path, SL2_DOC)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    env = dict(os.environ, PYTHONPATH=str(Path(downup.__file__).parents[1]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "downup.cli", "certify", "--spec", spec,
+             "--format", "machine"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    err = done.stderr.decode()
+    assert done.returncode == 0, err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 # ------------------------------------------------------------------ presets

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from downup.errors import CertificationError, InputError
 from downup.freealg import (COMPLETE, COMPLETE_UP_TO_BOUND, FreePoly,
-                            GroebnerWitness, Presentation, RelationSet, WeightedOrder,
-                            certify_groebner, complete, count_normal_words, format_poly, is_groebner,
-                            is_normal, leading, leading_homogeneous,
-                            normal_form, overlaps, word_degree)
+                            GroebnerWitness, MonomialAlgebra, Presentation, RelationSet,
+                            WeightedOrder, certify_groebner, complete, count_normal_words,
+                            format_poly, hilbert, is_groebner, is_normal, leading,
+                            leading_homogeneous, normal_form, overlaps,
+                            series_coefficients, word_degree)
 from downup.gdu import GDUParams, defining_relations
 from downup.solvable import PBWGrlexOrder
 
@@ -414,6 +415,18 @@ def test_count_normal_words_rejects_negative_generator():
     # a negative index used to be read as absent and left the counts free
     with pytest.raises(InputError):
         count_normal_words([(-1,)], (1, 1), 3)
+
+
+@pytest.mark.parametrize("weights", [(0, 1), (1, -1)])
+def test_nonpositive_weights_are_input_errors(weights):
+    # a zero weight used to give counts 2, 2, 2, ... and a negative one an
+    # IndexError in the series expansion
+    with pytest.raises(InputError, match="positive"):
+        count_normal_words([(0, 0)], weights, 4)
+    with pytest.raises(InputError, match="positive"):
+        hilbert(MonomialAlgebra(("x0", "x1"), weights, [(0, 0)]), 3)
+    with pytest.raises(InputError, match="positive"):
+        series_coefficients(weights, 4)
 
 
 def test_word_degree_rejects_negative_generator():

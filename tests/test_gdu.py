@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from downup.errors import CertificationError, HypothesisError, InputError
-from downup.freealg import FreePoly, RelationSet, series_coefficients
+from downup.freealg import FreePoly, RelationSet, WeightedOrder, series_coefficients
 from downup.gdu import (X1, X2, X3, GDUParams, WeightScheme, build, check_pbw,
                         defining_relations, exponent_of_normal_word,
                         normal_word_of_exponent, preset,
@@ -197,8 +197,19 @@ def test_exponent_of_normal_word_rejects_unknown_generator():
 # ------------------------------------------------------ solvable derivation
 
 def _derive(rels, order):
-    return solvable_from_relations(rels, order, sequence=(X2, X1, X3),
-                                   names=("X2", "X1", "X3"), weights=(1, 1, 1))
+    assert rels.order is order  # the PBW sequence is read off this order
+    return solvable_from_relations(rels, ("X1", "X2", "X3"), weights=(1, 1, 1))
+
+
+def test_solvable_from_relations_reads_the_sequence_off_the_order():
+    # x1 < x0: the leading word of x0*x1 - x1*x0 - x1 is x0*x1, so with the
+    # PBW sequence (x1, x0) the rule is a_1 a_0 = a_0 a_1 + a_0
+    order = WeightedOrder((1, 1), (1, 0))
+    rels = RelationSet([FreePoly({(0, 1): 1, (1, 0): -1, (1,): -1})], order)
+    sol = solvable_from_relations(rels, ("x0", "x1"), weights=(1, 1))
+    assert sol.names == ("x1", "x0")
+    rule = sol.rules[(1, 0)]
+    assert (rule.lam, rule.f.terms) == (1, {(1, 0): 1})
 
 
 def test_solvable_from_relations_rejects_zero_lambda():
