@@ -10,7 +10,7 @@ from .errors import (CertificationError, DownupError, HypothesisError,
                      InputError)
 from .freealg import (FreePoly, RelationSet, WeightedOrder, complete,
                       count_normal_words, format_poly, is_groebner, leading,
-                      leading_homogeneous, normal_form, overlaps)
+                      leading_homogeneous, normal_form)
 from .gdu import (GDUAlgebra, GDUParams, PRESETS, WeightScheme, build,
                   check_pbw, preset, to_solvable)
 from .graded import (HomogenizedAlgebra, MonomialAlgebra, assoc_graded,
@@ -24,7 +24,7 @@ __all__ = [
     "CertificationError", "DownupError", "HypothesisError", "InputError",
     "FreePoly", "RelationSet", "WeightedOrder", "complete",
     "count_normal_words", "format_poly", "is_groebner", "leading",
-    "leading_homogeneous", "normal_form", "overlaps",
+    "leading_homogeneous", "normal_form",
     "GDUAlgebra", "GDUParams", "PRESETS", "WeightScheme", "build",
     "check_pbw", "preset", "to_solvable",
     "HomogenizedAlgebra", "MonomialAlgebra", "assoc_graded", "hilbert",

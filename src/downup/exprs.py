@@ -57,11 +57,6 @@ class _Parser:
         self.pos += 1
         return tok[1]
 
-    def expect_op(self, op: str):
-        tok = self.take()
-        if tok[0] != "op" or tok[1] != op:
-            raise InputError(f"expected {op!r} at column {tok[2] + 1}")
-
     def parse(self) -> FreePoly:
         poly = self.expr()
         if self.peek() is not None:
@@ -114,7 +109,9 @@ class _Parser:
             return FreePoly.word((self.gens[value],))
         if kind == "op" and value == "(":
             inner = self.expr()
-            self.expect_op(")")
+            tok = self.take()
+            if tok[:2] != ("op", ")"):
+                raise InputError(f"expected ')' at column {tok[2] + 1}")
             return inner
         raise InputError(f"unexpected token {value!r} at column {col + 1}")
 

@@ -66,8 +66,8 @@ class GradedOrder:
     """
 
     def __init__(self, weights: Sequence[int]):
-        self.weights = tuple(int(w) for w in weights)
-        if not self.weights or any(w < 1 for w in self.weights):
+        self.weights = tuple(weights)
+        if not self.weights or any(type(w) is not int or w < 1 for w in self.weights):
             raise InputError("weights must be positive integers")
 
     def compare(self, u, v) -> int:
@@ -299,15 +299,10 @@ def normal_form(poly: FreePoly, rels: RelationSet, order: WeightedOrder) -> Free
     return FreePoly._raw(rewrite_terms(poly.terms, order.key, rewrite))
 
 
-def is_normal(poly: FreePoly, rels: RelationSet) -> bool:
-    return all(find_subword(w, lm) < 0
-               for w in poly.terms for lm in rels.leading_words)
-
-
 def _overlap_windows(u: Word, v: Word, same: bool) -> Iterator[tuple[Word, Word]]:
-    """Cofactor pairs (p, s) with u+s == p+v, covering proper overlaps and
-    inclusions of v inside u.  ``same`` suppresses the trivial self-match."""
-    # proper overlaps: a nonempty proper suffix of u equals a proper prefix of v
+    """Cofactor pairs (p, s) with u+s == p+v, covering proper overlap windows
+    and inclusions of v inside u.  ``same`` suppresses the trivial self-match."""
+    # proper overlap: a nonempty proper suffix of u equals a proper prefix of v
     for k in range(1, min(len(u), len(v))):
         if u[len(u) - k:] == v[:k]:
             yield u[:len(u) - k], v[k:]
@@ -335,13 +330,6 @@ def s_elements(g: FreePoly, h: FreePoly, order: WeightedOrder) -> list[tuple[Wor
         elem = gm * FreePoly.word(s) - FreePoly.word(p) * hm
         out.append((u + s, elem))
     return out
-
-
-def overlaps(g: FreePoly, h: FreePoly, order: WeightedOrder) -> list[FreePoly]:
-    """The S-elements of the ordered pair (g, h); empty when no window exists."""
-    if g.is_zero() or h.is_zero():
-        raise InputError("overlaps of the zero polynomial are undefined")
-    return [elem for _, elem in s_elements(g, h, order)]
 
 
 @dataclass(frozen=True)
@@ -394,17 +382,6 @@ def is_groebner(rels: RelationSet, order: WeightedOrder) -> Verdict:
     return Verdict(witness is None, witness)
 
 
-def certify_groebner(rels: RelationSet, order: WeightedOrder,
-                     what: str) -> Verdict:
-    """The passing :func:`is_groebner` certificate of ``rels``; raises
-    CertificationError naming ``what``, with the witness in ``args[1]``."""
-    certificate = is_groebner(rels, order)
-    if not certificate.ok:
-        raise CertificationError(f"{what} failed the Groebner check",
-                                 certificate.witness)
-    return certificate
-
-
 class Presentation:
     """Named generators, an order and relations certified as a Groebner
     basis at construction; raises CertificationError naming ``what``
@@ -415,7 +392,10 @@ class Presentation:
         self.gen_names = tuple(gen_names)
         self.order = order
         self.relations = RelationSet(polys, order)
-        self.certificate = certify_groebner(self.relations, order, what)
+        self.certificate = is_groebner(self.relations, order)
+        if not self.certificate.ok:
+            raise CertificationError(f"{what} failed the Groebner check",
+                                     self.certificate.witness)
         self.notes = tuple(notes)
 
     @property
@@ -556,7 +536,7 @@ class MonomialAlgebra:
                 minimal.append(w)
         self.obstructions: tuple[Word, ...] = tuple(minimal)
 
-    def is_normal(self, word: Word) -> bool:
+    def avoids_obstructions(self, word: Word) -> bool:
         return all(find_subword(word, o) < 0 for o in self.obstructions)
 
     def __repr__(self):
@@ -581,12 +561,12 @@ def build_ufn_graph(mono: MonomialAlgebra) -> UfnGraph:
     window = max((len(o) for o in mono.obstructions), default=1)
     ngens = len(mono.weights)
     vertices = tuple(w for w in itertools.product(range(ngens), repeat=window - 1)
-                     if mono.is_normal(w))
+                     if mono.avoids_obstructions(w))
     edges = []
     for u in vertices:
         for g in range(ngens):
             full = u + (g,)
-            if not mono.is_normal(full):
+            if not mono.avoids_obstructions(full):
                 continue
             edges.append((u, full[1:], g))
     return UfnGraph(vertices, tuple(edges), window)
@@ -615,7 +595,7 @@ def hilbert(mono: MonomialAlgebra, max_degree: int) -> HilbertData:
     short_limit = graph.window - 1
     for length in range(short_limit):
         for w in itertools.product(range(len(weights)), repeat=length):
-            if not mono.is_normal(w):
+            if not mono.avoids_obstructions(w):
                 continue
             d = word_degree(w, weights)
             if d <= max_degree:
@@ -646,6 +626,8 @@ def count_normal_words(obstructions: Iterable[Word], weights: Sequence[int],
 def series_coefficients(weights: Sequence[int], max_degree: int) -> list[int]:
     """Taylor coefficients of the product of 1/(1 - t^w) over the weights:
     the count of exponent vectors per weighted degree 0..max_degree."""
+    if max_degree < 0:
+        raise InputError("degree must be >= 0")
     coeffs = [1] + [0] * max_degree
     for w in GradedOrder(weights).weights:
         for q in range(w, max_degree + 1):

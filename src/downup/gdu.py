@@ -221,7 +221,7 @@ def preset(name: str, scheme: Optional[str] = None, **kwargs) -> GDUAlgebra:
     return build(params, resolved, (note,))
 
 
-def check_pbw(alg: GDUAlgebra, max_degree: int = 8) -> Verdict:
+def check_pbw(alg: GDUAlgebra, max_degree: int) -> Verdict:
     """Compare normal-word counts against PBW exponent counts per degree."""
     return alg.dims(max_degree)
 

@@ -10,7 +10,7 @@ polynomial growth, the Gelfand-Kirillov dimension of the monomial algebra.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import CertificationError, HypothesisError, InputError
 from .freealg import (FreePoly, Presentation, RelationSet, Verdict, WeightedOrder,
@@ -95,16 +95,13 @@ def assoc_graded(alg: GDUAlgebra) -> Presentation:
     return Presentation(alg.gen_names, alg.order, lh, "leading homogeneous parts")
 
 
-def homogenize_poly(poly: FreePoly, weights: Sequence[int],
-                    t_index: Optional[int] = None) -> FreePoly:
+def homogenize_poly(poly: FreePoly, weights: Sequence[int]) -> FreePoly:
     """Left-pad each homogeneous component with powers of the degree-1
-    central variable so the result is homogeneous of the top degree."""
+    central variable T so the result is homogeneous of the top degree."""
     if poly.is_zero():
         raise InputError("cannot homogenize the zero polynomial")
-    if t_index is None:
-        t_index = len(weights)
     top = poly.degree(weights)
-    return FreePoly({(t_index,) * (top - word_degree(w, weights)) + w: c
+    return FreePoly({(T,) * (top - word_degree(w, weights)) + w: c
                      for w, c in poly.terms.items()})
 
 
@@ -153,7 +150,7 @@ def homogenize_algebra(alg: GDUAlgebra) -> HomogenizedAlgebra:
         raise HypothesisError("homogenization requires deg f >= 1")
     nw = alg.x2_weight
     order = WeightedOrder((1, nw, nw, 1), HOMOG_PRECEDENCE)
-    hrels = [homogenize_poly(g, alg.order.weights, T) for g in alg.relations]
+    hrels = [homogenize_poly(g, alg.order.weights) for g in alg.relations]
     hrels += [FreePoly({(i, T): 1, (T, i): -1}) for i in (X1, X2, X3)]
     notes = alg.notes
     if alg.params.gamma != 0:
@@ -166,7 +163,7 @@ def homogenize_algebra(alg: GDUAlgebra) -> HomogenizedAlgebra:
 
 
 def rees_dims(alg: GDUAlgebra, homog: HomogenizedAlgebra,
-              max_degree: int = 10) -> Verdict:
+              max_degree: int) -> Verdict:
     """Compare per-degree dimensions of the homogenized algebra against the
     cumulative PBW filtration of the base algebra (the computable shadow of
     the Rees-algebra identification); InputError unless ``homog`` is the

@@ -119,8 +119,8 @@ class SolvableAlgebra:
             for i in range(j):
                 if (j, i) not in self.rules:
                     raise InputError(f"missing commutation rule for pair ({j}, {i})")
-        self._gen_table: dict[tuple[int, Exponent], dict[Exponent, Fraction]] = {}
-        self._pair_table: dict[tuple[Exponent, Exponent], dict[Exponent, Fraction]] = {}
+        self._letters = [tuple(int(t == g) for t in range(n)) for g in range(n)]
+        self._table: dict[tuple[Exponent, Exponent], dict[Exponent, Fraction]] = {}
 
     @property
     def ngens(self) -> int:
@@ -152,40 +152,36 @@ class SolvableAlgebra:
             raise InputError(f"malformed exponent vector {exp}")
         return PBWPoly({tuple(exp): coeff})
 
-    def _times_generator(self, g: int, e: Exponent) -> dict[Exponent, Fraction]:
-        """Terms of x_g * a^e, memoized: with h the first generator of a^e,
-        either x_g a^e is sorted already (g <= h) or, e' being e less one
-        x_h, x_g a^e = lam_gh * x_h (x_g a^e') + f_gh * a^e'."""
-        cached = self._gen_table.get((g, e))
+    def _times(self, e1: Exponent, e2: Exponent) -> dict[Exponent, Fraction]:
+        """Terms of a^e1 * a^e2, memoized in one table.  A letter x_g (a unit
+        e1) either sorts into a^e2 already (g <= h, h the first generator of
+        a^e2) or, e' being e2 less one x_h, gives
+        x_g a^e2 = lam_gh * x_h (x_g a^e') + f_gh * a^e'; a longer a^e1 is
+        folded into a^e2 letter by letter from right to left."""
+        cached = self._table.get((e1, e2))
         if cached is not None:
             return cached
-        h = next((t for t, a in enumerate(e) if a), g)
-        if g <= h:
-            result = {e[:g] + (e[g] + 1,) + e[g + 1:]: Fraction(1)}
+        word = word_of_exponent(e1)
+        g = word[0] if word else 0
+        h = next((t for t, a in enumerate(e2) if a), g)
+        if len(word) != 1:
+            result = {e2: Fraction(1)}
+            for letter in reversed(word):
+                step: dict[Exponent, Fraction] = {}
+                for m, c in result.items():
+                    add_terms(step, self._times(self._letters[letter], m).items(), c)
+                result = step
+        elif g <= h:
+            result = {tuple(a + b for a, b in zip(e1, e2)): Fraction(1)}
         else:
-            rest = e[:h] + (e[h] - 1,) + e[h + 1:]
+            rest = e2[:h] + (e2[h] - 1,) + e2[h + 1:]
             rule = self.rules[(g, h)]
             result = {}
-            for m, c in self._times_generator(g, rest).items():
-                add_terms(result, self._times_generator(h, m).items(), rule.lam * c)
+            for m, c in self._times(e1, rest).items():
+                add_terms(result, self._times(self._letters[h], m).items(), rule.lam * c)
             for ef, c in rule.f.terms.items():
-                add_terms(result, self._times_monomial(ef, rest).items(), c)
-        self._gen_table[(g, e)] = result
-        return result
-
-    def _times_monomial(self, e1: Exponent, e2: Exponent) -> dict[Exponent, Fraction]:
-        """Terms of a^e1 * a^e2, memoized: the letters of a^e1 are folded
-        into a^e2 from right to left."""
-        cached = self._pair_table.get((e1, e2))
-        if cached is not None:
-            return cached
-        result = {e2: Fraction(1)}
-        for g in reversed(word_of_exponent(e1)):
-            step: dict[Exponent, Fraction] = {}
-            for m, c in result.items():
-                add_terms(step, self._times_generator(g, m).items(), c)
-            result = step
-        self._pair_table[(e1, e2)] = result
+                add_terms(result, self._times(ef, rest).items(), c)
+        self._table[(e1, e2)] = result
         return result
 
     def multiply(self, p: PBWPoly, q: PBWPoly) -> PBWPoly:
@@ -195,7 +191,7 @@ class SolvableAlgebra:
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in p.terms.items():
             for e2, c2 in q.terms.items():
-                add_terms(out, self._times_monomial(e1, e2).items(), c1 * c2)
+                add_terms(out, self._times(e1, e2).items(), c1 * c2)
         return PBWPoly._raw(out)
 
 
@@ -220,7 +216,7 @@ def verify_solvable(alg: SolvableAlgebra) -> Verdict:
     return Verdict(not problems, violations=tuple(problems))
 
 
-def verify_ordering_axioms(alg: SolvableAlgebra, bound: int = 4,
+def verify_ordering_axioms(alg: SolvableAlgebra, bound: int,
                            order=None) -> Verdict:
     """Exhaustively certify the monomial-ordering axioms on bounded monomials.
 

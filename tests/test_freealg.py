@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from downup.errors import CertificationError, InputError
 from downup.freealg import (COMPLETE, COMPLETE_UP_TO_BOUND, FreePoly,
                             GroebnerWitness, MonomialAlgebra, Presentation, RelationSet,
-                            WeightedOrder, certify_groebner, complete, count_normal_words,
-                            format_poly, hilbert, is_groebner, is_normal, leading,
-                            leading_homogeneous, normal_form, overlaps,
+                            WeightedOrder, complete, count_normal_words,
+                            format_poly, hilbert, is_groebner, leading,
+                            leading_homogeneous, normal_form, s_elements,
                             series_coefficients, word_degree)
 from downup.gdu import GDUParams, defining_relations
 from downup.solvable import PBWGrlexOrder
@@ -192,7 +192,8 @@ def sl2_polys(draw):
 def test_normal_form_idempotent(p):
     rels = sl2_relation_set()
     nf = normal_form(p, rels, ORDER111)
-    assert is_normal(nf, rels)
+    assert all(normal_form(FreePoly.word(w), rels, ORDER111) == FreePoly.word(w)
+               for w in nf.terms)
     assert normal_form(nf, rels, ORDER111) == nf
 
 
@@ -254,24 +255,24 @@ def test_normal_form_matches_compare_strategy(rels, word_list):
         assert normal_form(p, rels, rels.order) == normal_form_by_compare(p, rels, rels.order)
 
 
-# ---------------------------------------------------------------- overlaps
+# -------------------------------------------------------------- s_elements
 
-def test_overlaps_g31_g12_single_window():
+def test_s_elements_g31_g12_single_window():
     r31, r12, _ = sl2_relations()
-    found = overlaps(r31, r12, ORDER111)
+    found = [elem for _, elem in s_elements(r31, r12, ORDER111)]
     expected = r31 * FreePoly.word((1,)) - FreePoly.word((2,)) * r12
     assert found == [expected]
 
 
-def test_overlaps_g12_g31_empty():
+def test_s_elements_g12_g31_empty():
     r31, r12, _ = sl2_relations()
-    assert overlaps(r12, r31, ORDER111) == []
+    assert s_elements(r12, r31, ORDER111) == []
 
 
-def test_overlaps_commutator_self_empty():
+def test_s_elements_commutator_self_empty():
     order = WeightedOrder((1, 1, 1, 1), (3, 1, 0, 2))
     commutator = FreePoly({(0, 3): 1, (3, 0): -1})  # X1 T - T X1
-    assert overlaps(commutator, commutator, order) == []
+    assert s_elements(commutator, commutator, order) == []
 
 
 # -------------------------------------------------------------- is_groebner
@@ -296,20 +297,18 @@ def test_is_groebner_mutant_false_with_witness():
     assert groebner_by_dimension(rels, ORDER111, 6) is False
 
 
-def test_certify_groebner_raises_with_witness():
+def test_presentation_raises_with_witness():
     polys = sl2_relations()
     polys[0] = polys[0] + FreePoly({(0, 2): 3})  # the mutant above
     rels = RelationSet(polys, ORDER111)
     with pytest.raises(CertificationError) as info:
-        certify_groebner(rels, ORDER111, "mutated relations")
+        Presentation(("X1", "X2", "X3"), ORDER111, polys, "mutated relations")
     assert info.value.args[0] == "mutated relations failed the Groebner check"
     witness = info.value.args[1]
     assert isinstance(witness, GroebnerWitness)
     assert witness == is_groebner(rels, ORDER111).witness
-    with pytest.raises(CertificationError) as info:
-        Presentation(("X1", "X2", "X3"), ORDER111, polys, "mutated relations")
     assert info.value.args == ("mutated relations failed the Groebner check", witness)
-    assert certify_groebner(sl2_relation_set(), ORDER111, "sl2").ok
+    assert Presentation(("X1", "X2", "X3"), ORDER111, sl2_relations(), "sl2").certificate.ok
 
 
 # ----------------------------------------------------------------- complete
@@ -427,6 +426,22 @@ def test_nonpositive_weights_are_input_errors(weights):
         hilbert(MonomialAlgebra(("x0", "x1"), weights, [(0, 0)]), 3)
     with pytest.raises(InputError, match="positive"):
         series_coefficients(weights, 4)
+
+
+def test_non_integer_weights_are_input_errors():
+    # int(w) used to truncate 1.5 to 1 and accept True and "2" as weights
+    for make in (lambda: WeightedOrder((1.5, 1)), lambda: WeightedOrder((True, 1)),
+                 lambda: PBWGrlexOrder(("2", 1)),
+                 lambda: series_coefficients((1.9, 1), 3),
+                 lambda: count_normal_words([(0, 0)], (1.5, 2.7), 4)):
+        with pytest.raises(InputError, match="weights must be positive integers"):
+            make()
+
+
+def test_series_coefficients_rejects_negative_degree():
+    # it used to return [1], where hilbert raises for the same degree
+    with pytest.raises(InputError, match="degree must be >= 0"):
+        series_coefficients((1,), -2)
 
 
 def test_word_degree_rejects_negative_generator():

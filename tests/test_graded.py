@@ -97,25 +97,25 @@ def test_lh_transfer_on_seeded_mutants(sl2):
 
 def test_homogenize_poly_pads_low_terms(sl2):
     r31 = FreePoly({(X3, X1): 1, (X1, X3): -1, (X3,): 2})
-    homog = homogenize_poly(r31, (1, 1, 1), T)
+    homog = homogenize_poly(r31, (1, 1, 1))
     assert homog == FreePoly({(X3, X1): 1, (X1, X3): -1, (T, X3): 2})
 
 
 def test_homogenize_poly_fixes_homogeneous_input():
     p = FreePoly({(X3, X1): 1, (X1, X3): -5})
-    assert homogenize_poly(p, (1, 1, 1), T) == p
+    assert homogenize_poly(p, (1, 1, 1)) == p
 
 
 def test_homogenize_poly_weighted_f_padding(degf3):
     # f = 1 + X1^3 under weights (1, 3, 3): pads to T^6 and T^3 X1^3
     r32 = next(p for p in degf3.relations if (X3, X2) in p.terms)
-    homog = homogenize_poly(r32, degf3.order.weights, T)
+    homog = homogenize_poly(r32, degf3.order.weights)
     assert homog == FreePoly({
         (X3, X2): 1, (X2, X3): -degf3.params.omega,
         (T,) * 6: 1, (T, T, T, X1, X1, X1): 1,
     })
     with pytest.raises(InputError):
-        homogenize_poly(FreePoly.zero(), (1, 1, 1), T)
+        homogenize_poly(FreePoly.zero(), (1, 1, 1))
 
 
 def test_homogenize_algebra_certificate_and_leading_words(sl2, conformal_degf, degf3):
