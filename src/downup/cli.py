@@ -77,10 +77,7 @@ def algebra_from_spec(doc: dict) -> GDUAlgebra:
     if "scheme" not in doc:
         raise InputError("explicit parameters require a scheme "
                          "(\"all-ones\" or \"deg-f\")")
-    f = doc["f"]
-    if not isinstance(f, list) or not f:
-        raise InputError("f must be a nonempty list of coefficients, constant first")
-    params = GDUParams.make(doc["lambda"], doc["omega"], doc["gamma"], f)
+    params = GDUParams.make(doc["lambda"], doc["omega"], doc["gamma"], doc["f"])
     try:
         scheme = WeightScheme(doc["scheme"])
     except ValueError:

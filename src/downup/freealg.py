@@ -6,11 +6,12 @@ all comparisons go through a weighted graded lexicographic order.  The sparse
 arithmetic, the graded-order base, ``leading``, ``monic``, the
 term-rewriting loop and the inter-reduction loop are shared with the PBW
 layer in ``solvable``, and every check returns one ``Verdict``.  On top of
-the arithmetic this module provides reduction to normal form modulo a
-relation set, overlap (S-element) analysis, one scan of S-element remainders
-behind the Groebner check and the degree-bounded completion, ``Presentation``
-(relations certified by that check), and the count of normal words by
-dynamic programming on Ufnarovski's overlap graph.
+the arithmetic this module provides reduction to normal form by the rewrite
+rules a ``RelationSet`` builds once, overlap (S-element) analysis, one scan
+of S-element remainders behind the Groebner check and the degree-bounded
+completion, ``Presentation`` (relations certified by that check), and the
+count of normal words: one dynamic program over the paths of Ufnarovski's
+overlap automaton, rooted at the empty word.
 """
 
 from __future__ import annotations
@@ -225,7 +226,8 @@ class RelationSet:
 
     Relations are normalized monic on ingestion; zero relations are rejected
     and leading monomials must be nonempty words (a relation with leading
-    word 1 would collapse the algebra).
+    word 1 would collapse the algebra).  ``rewrites`` holds the rules of
+    ``normal_form``.
     """
 
     def __init__(self, polys: Iterable[FreePoly], order: WeightedOrder):
@@ -242,6 +244,13 @@ class RelationSet:
         normalized.sort(key=lambda item: order.key(item[0]))
         self.polys: tuple[FreePoly, ...] = tuple(q for _, q in normalized)
         self.leading_words: tuple[Word, ...] = tuple(lm for lm, _ in normalized)
+        # a monic relation lm + tail rewrites lm to -tail: one rule per leading
+        # word, from the first relation that has it, the largest word first
+        rules: dict[Word, tuple[tuple[Word, Fraction], ...]] = {}
+        for lm, q in normalized:
+            if lm not in rules:
+                rules[lm] = tuple((t, -c) for t, c in q.terms.items() if t != lm)
+        self.rewrites = tuple(reversed(rules.items()))
 
     def __len__(self):
         return len(self.polys)
@@ -256,30 +265,15 @@ class RelationSet:
         return f"RelationSet({list(self.polys)!r})"
 
 
-def _first_reduction(word: Word, rels: RelationSet):
-    """The reduction site used by the deterministic strategy.
-
-    Among the relation leading words occurring in ``word``, take the
-    order-largest one and its leftmost occurrence.  The relations are sorted
-    by leading word, so that is the last one that occurs; of several
-    relations sharing it, the first is used.  Returns
-    (leading word, position, relation) or None.
-    """
-    lms = rels.leading_words
-    for idx in range(len(lms) - 1, -1, -1):
-        pos = find_subword(word, lms[idx])
-        if pos >= 0:
-            return lms[idx], pos, rels.polys[lms.index(lms[idx])]
-    return None
-
-
 def normal_form(poly: FreePoly, rels: RelationSet, order: WeightedOrder) -> FreePoly:
     """Reduce ``poly`` modulo ``rels`` until no term contains a leading word.
 
-    Strategy: always rewrite the order-largest reducible term, replacing the
-    leftmost occurrence of the order-largest applicable leading word.  Each
-    step strictly decreases the rewritten term, so the loop terminates; when
-    ``rels`` is a Groebner basis the result is independent of the strategy.
+    Strategy: always rewrite the order-largest reducible term by the first
+    of ``rels.rewrites`` that applies -- the order-largest leading word it
+    contains, from the first relation that has it -- at its leftmost
+    occurrence.  Each step strictly decreases the rewritten term, so the
+    loop terminates; when ``rels`` is a Groebner basis the result is
+    independent of the strategy.
     ``order`` must equal ``rels.order``, by which the relations are sorted;
     InputError otherwise.
     """
@@ -287,14 +281,13 @@ def normal_form(poly: FreePoly, rels: RelationSet, order: WeightedOrder) -> Free
             order.weights, order.precedence) == (rels.order.weights, rels.order.precedence)):
         raise InputError("normal_form order differs from the relation set's order")
     def rewrite(word: Word):
-        site = _first_reduction(word, rels)
-        if site is None:
-            return None
-        # word = prefix . lm . suffix and the monic rel = lm + tail, so the
-        # word equals -prefix . tail . suffix.
-        lm, pos, rel = site
-        prefix, suffix = word[:pos], word[pos + len(lm):]
-        return [(prefix + t + suffix, -c) for t, c in rel.terms.items() if t != lm]
+        # word = prefix . lm . suffix equals prefix . (-tail) . suffix
+        for lm, neg_tail in rels.rewrites:
+            pos = find_subword(word, lm)
+            if pos >= 0:
+                prefix, suffix = word[:pos], word[pos + len(lm):]
+                return [(prefix + t + suffix, c) for t, c in neg_tail]
+        return None
 
     return FreePoly._raw(rewrite_terms(poly.terms, order.key, rewrite))
 
@@ -545,31 +538,32 @@ class MonomialAlgebra:
 
 @dataclass(frozen=True)
 class UfnGraph:
-    """Overlap graph on normal words of length L-1 (L = max obstruction length).
+    """Overlap automaton rooted at the empty word (L = max obstruction length).
 
-    Edges are (source, target, appended generator); target drops the source's
-    first letter and appends the generator, and the edge exists iff the full
-    length-L window is obstruction-free.
+    Vertices are the normal words of length <= L-1.  An edge (source, target,
+    generator) appends the generator to the source and drops the first letter
+    once the word would reach length L; it exists iff the appended word is
+    obstruction-free.  The normal words are the paths from the root.
     """
 
     vertices: tuple[Word, ...]
     edges: tuple[tuple[Word, Word, int], ...]
-    window: int
 
 
 def build_ufn_graph(mono: MonomialAlgebra) -> UfnGraph:
     window = max((len(o) for o in mono.obstructions), default=1)
-    ngens = len(mono.weights)
-    vertices = tuple(w for w in itertools.product(range(ngens), repeat=window - 1)
-                     if mono.avoids_obstructions(w))
-    edges = []
-    for u in vertices:
-        for g in range(ngens):
+    vertices, seen, edges = [EMPTY], {EMPTY}, []
+    for u in vertices:  # breadth-first: the list grows while it is walked
+        for g in range(len(mono.weights)):
             full = u + (g,)
             if not mono.avoids_obstructions(full):
                 continue
-            edges.append((u, full[1:], g))
-    return UfnGraph(vertices, tuple(edges), window)
+            v = full if len(full) < window else full[1:]
+            edges.append((u, v, g))
+            if v not in seen:
+                seen.add(v)
+                vertices.append(v)
+    return UfnGraph(tuple(vertices), tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -580,37 +574,24 @@ class HilbertData:
 def hilbert(mono: MonomialAlgebra, max_degree: int) -> HilbertData:
     """Exact count of obstruction-free words per weighted degree 0..max_degree.
 
-    Words shorter than the graph window are enumerated directly; all longer
-    words correspond to paths in the overlap graph and are counted by
-    dynamic programming on (degree, end vertex): each vertex's count at
-    degree q is pushed along its out-edges, and since every weight is
-    positive, degree q is final once the loop reaches it.
+    Each normal word is one path from the overlap automaton's root, so one
+    dynamic program on (degree, end vertex) counts them all: seeded with 1 at
+    (root, 0), each vertex's count at degree q is pushed along its out-edges,
+    and since every weight is positive, degree q is final once the loop
+    reaches it.
     """
     if max_degree < 0:
         raise InputError("degree must be >= 0")
     graph = build_ufn_graph(mono)
     weights = mono.weights
-    h = [0] * (max_degree + 1)
-
-    short_limit = graph.window - 1
-    for length in range(short_limit):
-        for w in itertools.product(range(len(weights)), repeat=length):
-            if not mono.avoids_obstructions(w):
-                continue
-            d = word_degree(w, weights)
-            if d <= max_degree:
-                h[d] += 1
-
     ways = {v: [0] * (max_degree + 1) for v in graph.vertices}
-    for v in graph.vertices:
-        d = word_degree(v, weights)
-        if d <= max_degree:
-            ways[v][d] = 1
+    ways[EMPTY][0] = 1
+    h = []
     for q in range(max_degree + 1):
         for u, v, g in graph.edges:
             if ways[u][q] and q + weights[g] <= max_degree:
                 ways[v][q + weights[g]] += ways[u][q]
-        h[q] += sum(ways[v][q] for v in graph.vertices)
+        h.append(sum(counts[q] for counts in ways.values()))
     return HilbertData(tuple(h))
 
 

@@ -49,9 +49,9 @@ class GDUParams:
     @classmethod
     def make(cls, lam: ScalarLike, omega: ScalarLike, gamma: ScalarLike,
              f_coeffs: Sequence[ScalarLike]) -> "GDUParams":
+        if not isinstance(f_coeffs, (list, tuple)) or not f_coeffs:
+            raise InputError("f must be a nonempty list of coefficients, constant first")
         coeffs = [scalar(c) for c in f_coeffs]
-        if not coeffs:
-            raise InputError("f requires at least one coefficient (use [0] for f = 0)")
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         return cls(scalar(lam), scalar(omega), scalar(gamma), tuple(coeffs))
@@ -148,7 +148,7 @@ def _preset_sl2() -> tuple[GDUParams, str]:
 
 
 def _preset_smith(f: Sequence[ScalarLike] = (0, 1)) -> tuple[GDUParams, str]:
-    given = [scalar(c) for c in f]
+    given = GDUParams.make(1, 1, 1, f).f_coeffs
     note = ("preset smith: relations [X1,X3]=X3, [X1,X2]=-X2, [X3,X2]=f(X1) "
             "converted to the standard form with lambda=omega=1, gamma=1 and "
             "the f coefficients negated")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence, Union
 
 from .errors import CertificationError, HypothesisError, InputError
-from .freealg import (FreePoly, Presentation, RelationSet, Verdict, WeightedOrder,
+from .freealg import (EMPTY, FreePoly, Presentation, RelationSet, Verdict, WeightedOrder,
                       add_terms, leading_homogeneous, word_degree, Word)
 from .freealg import (HilbertData, MonomialAlgebra, UfnGraph,  # noqa: F401 (re-exported)
                       build_ufn_graph, hilbert, series_coefficients)
@@ -38,8 +38,10 @@ def ufn_growth(mono: MonomialAlgebra) -> Union[int, str]:
     block with more internal edges than vertices); otherwise the growth is
     polynomial and the returned integer -- the maximum number of cycle blocks
     met along a directed path -- equals the Gelfand-Kirillov dimension.
-    Tarjan's algorithm closes each block after every block it reaches, so the
-    longest chain below a block is known when the block closes.
+    Tarjan's algorithm, entered once at the root, closes each block after
+    every block it reaches, so the longest chain below a block is known when
+    the block closes.  The words shorter than the window are singleton blocks
+    with no internal edge, so they add no cycle block to any chain.
     """
     graph = build_ufn_graph(mono)
     succ: dict[Word, list[Word]] = {v: [] for v in graph.vertices}
@@ -58,32 +60,30 @@ def ufn_growth(mono: MonomialAlgebra) -> Union[int, str]:
         stack.append(v)
         path.append((v, iter(succ[v])))
 
-    for root in graph.vertices:
-        if root not in index:
-            enter(root)
-        while path:
-            v, todo = path[-1]
-            w = next(todo, None)
-            if w is not None:
-                if w not in index:
-                    enter(w)
-                elif w not in block:
-                    low[v] = min(low[v], index[w])
-                continue
-            path.pop()
-            if path:
-                low[path[-1][0]] = min(low[path[-1][0]], low[v])
-            if low[v] < index[v]:
-                continue
-            c, pos = len(depth), stack.index(v)
-            members = stack[pos:]
-            del stack[pos:]
-            block.update((u, c) for u in members)
-            targets = [block[t] for u in members for t in succ[u]]
-            excess.append(targets.count(c) - len(members))
-            depth.append((1 if excess[c] == 0 else 0)
-                         + max((depth[d] for d in targets if d != c), default=0))
-    return EXPONENTIAL if any(e > 0 for e in excess) else max(depth, default=0)
+    enter(EMPTY)  # the root reaches every vertex
+    while path:
+        v, todo = path[-1]
+        w = next(todo, None)
+        if w is not None:
+            if w not in index:
+                enter(w)
+            elif w not in block:
+                low[v] = min(low[v], index[w])
+            continue
+        path.pop()
+        if path:
+            low[path[-1][0]] = min(low[path[-1][0]], low[v])
+        if low[v] < index[v]:
+            continue
+        c, pos = len(depth), stack.index(v)
+        members = stack[pos:]
+        del stack[pos:]
+        block.update((u, c) for u in members)
+        targets = [block[t] for u in members for t in succ[u]]
+        excess.append(targets.count(c) - len(members))
+        depth.append((1 if excess[c] == 0 else 0)
+                     + max((depth[d] for d in targets if d != c), default=0))
+    return EXPONENTIAL if any(e > 0 for e in excess) else max(depth)
 
 
 def assoc_graded(alg: GDUAlgebra) -> Presentation:

@@ -143,9 +143,7 @@ class SolvableAlgebra:
     def generator(self, position: int) -> PBWPoly:
         if not 0 <= position < self.ngens:
             raise InputError(f"unknown generator position {position}")
-        exp = [0] * self.ngens
-        exp[position] = 1
-        return PBWPoly({tuple(exp): 1})
+        return PBWPoly({self._letters[position]: 1})
 
     def monomial(self, exp: Exponent, coeff: ScalarLike = 1) -> PBWPoly:
         if len(exp) != self.ngens or min(exp, default=0) < 0:

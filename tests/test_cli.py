@@ -288,6 +288,14 @@ def test_preset_name_that_is_not_a_string_is_input_error(tmp_path, capsys, name)
     assert "unknown preset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("f", ["102", {"1": 2}])
+def test_smith_f_that_is_not_a_list_is_input_error(tmp_path, capsys, f):
+    # the preset used to iterate a string or an object as the coefficients
+    spec = write_spec(tmp_path, {"preset": "smith", "args": {"f": f}})
+    assert main(["certify", "--spec", spec]) == 2
+    assert "f must be a nonempty list of coefficients" in capsys.readouterr().err
+
+
 def test_closed_stdout_keeps_the_exit_code_without_traceback(tmp_path):
     spec = write_spec(tmp_path, SL2_DOC)
     read_end, write_end = os.pipe()

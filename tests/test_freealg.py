@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from downup.errors import CertificationError, InputError
 from downup.freealg import (COMPLETE, COMPLETE_UP_TO_BOUND, FreePoly,
@@ -402,6 +402,9 @@ def obstruction_sets(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(obstruction_sets(), st.integers(0, 8))
+# obstructions of length 4 and mixed weights: two short layers below the root
+@example(([(0, 1, 1, 0)], (1, 2)), 9)
+@example(([(0, 0, 0, 0), (1, 0), (2, 1, 2)], (2, 1, 3)), 10)
 def test_count_normal_words_matches_enumeration(case, max_degree):
     obstructions, weights = case
     expected = [0] * (max_degree + 1)

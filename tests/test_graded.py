@@ -414,6 +414,9 @@ def monomial_algebras(draw):
 @example(MonomialAlgebra(("x", "y"), (1, 1), []))
 @example(MonomialAlgebra(("x", "y"), (1, 1), [(1, 1)]))
 @example(MonomialAlgebra(("x", "y", "z"), (1, 1, 1), [(1, 0), (2, 0), (2, 1)]))
+# obstructions of length 4 and mixed weights: two short layers below the root
+@example(MonomialAlgebra(("x", "y"), (1, 2), [(0, 1, 1, 0)]))
+@example(MonomialAlgebra(("x", "y", "z"), (2, 1, 3), [(0, 0, 0, 0), (1, 0), (2, 0), (2, 1)]))
 def test_ufn_growth_matches_reachability_reference(mono):
     assert ufn_growth(mono) == ufn_growth_reference(mono)
 
@@ -422,8 +425,7 @@ def test_ufn_graph_shape(sl2):
     lh = assoc_graded(sl2).relations
     mono = MonomialAlgebra(sl2.gen_names, sl2.order.weights, lh.leading_words)
     graph = build_ufn_graph(mono)
-    assert graph.window == 2
-    assert set(graph.vertices) == {(X1,), (X2,), (X3,)}
+    assert set(graph.vertices) == {(), (X1,), (X2,), (X3,)}
     assert ((X2,), (X1,), X1) in graph.edges
     assert all((u, v) != ((X3,), (X1,)) for u, v, _ in graph.edges)
 
