@@ -44,6 +44,8 @@ def load_spec_file(path: str) -> dict:
         raise InputError(f"cannot read spec file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except ValueError as exc:  # not UTF-8, or an over-long integer literal
+        raise InputError(f"{path}: {exc}")
     if not isinstance(doc, dict):
         raise InputError(f"{path}: spec must be a JSON object")
     return doc

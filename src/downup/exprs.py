@@ -57,6 +57,12 @@ class _Parser:
         self.pos += 1
         return tok[1]
 
+    def integer(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise InputError(f"integer literal too long at column {tok[2] + 1}") from None
+
     def parse(self) -> FreePoly:
         poly = self.expr()
         if self.peek() is not None:
@@ -85,24 +91,25 @@ class _Parser:
             if exp_tok[0] != "int":
                 raise InputError(f"expected integer exponent at column {exp_tok[2] + 1}")
             power = FreePoly.one()
-            for _ in range(int(exp_tok[1])):
+            for _ in range(self.integer(exp_tok)):
                 power = power * poly
             return power
         return poly
 
     def primary(self) -> FreePoly:
-        kind, value, col = self.take()
+        tok = self.take()
+        kind, value, col = tok
         if kind == "int":
             if self.accept("/"):
                 den_tok = self.take()
                 if den_tok[0] != "int":
                     raise InputError(
                         f"expected integer denominator at column {den_tok[2] + 1}")
-                den = int(den_tok[1])
+                den = self.integer(den_tok)
                 if den == 0:
                     raise InputError(f"zero denominator at column {den_tok[2] + 1}")
-                return FreePoly({(): Fraction(int(value), den)})
-            return FreePoly({(): Fraction(int(value))})
+                return FreePoly({(): Fraction(self.integer(tok), den)})
+            return FreePoly({(): Fraction(self.integer(tok))})
         if kind == "name":
             if value not in self.gens:
                 raise InputError(f"unknown generator {value!r} at column {col + 1}")

@@ -17,6 +17,7 @@ overlap automaton, rooted at the empty word.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -29,16 +30,21 @@ ScalarLike = Union[Fraction, int, str]
 EMPTY: Word = ()
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def scalar(value: ScalarLike) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to an exact rational."""
+    """Coerce an int, a Fraction or an optionally signed 'p' or 'p/q' string
+    of decimal integers to an exact rational; InputError for anything else."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool) or isinstance(value, float):
-        raise InputError(f"not an exact rational: {value!r}")
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise InputError(f"not an exact rational: {value!r}") from exc
+    if (isinstance(value, int) and not isinstance(value, bool)) or (
+            isinstance(value, str) and _RATIONAL.fullmatch(value)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):  # too many digits, or q = 0
+            pass
+    raise InputError(f"not an exact rational: {value!r}")
 
 
 def word_degree(word: Word, weights: Sequence[int]) -> int:
@@ -227,7 +233,7 @@ class RelationSet:
     Relations are normalized monic on ingestion; zero relations are rejected
     and leading monomials must be nonempty words (a relation with leading
     word 1 would collapse the algebra).  ``rewrites`` holds the rules of
-    ``normal_form``.
+    ``normal_form`` and of ``gdu.solvable_from_relations``.
     """
 
     def __init__(self, polys: Iterable[FreePoly], order: WeightedOrder):
@@ -244,13 +250,12 @@ class RelationSet:
         normalized.sort(key=lambda item: order.key(item[0]))
         self.polys: tuple[FreePoly, ...] = tuple(q for _, q in normalized)
         self.leading_words: tuple[Word, ...] = tuple(lm for lm, _ in normalized)
-        # a monic relation lm + tail rewrites lm to -tail: one rule per leading
-        # word, from the first relation that has it, the largest word first
-        rules: dict[Word, tuple[tuple[Word, Fraction], ...]] = {}
+        # a monic relation lm + tail rewrites lm to -tail: one (lm, relation)
+        # pair per leading word, the first relation that has it, largest first
+        rules: dict[Word, FreePoly] = {}
         for lm, q in normalized:
-            if lm not in rules:
-                rules[lm] = tuple((t, -c) for t, c in q.terms.items() if t != lm)
-        self.rewrites = tuple(reversed(rules.items()))
+            rules.setdefault(lm, q)
+        self.rewrites: tuple[tuple[Word, FreePoly], ...] = tuple(reversed(rules.items()))
 
     def __len__(self):
         return len(self.polys)
@@ -282,11 +287,11 @@ def normal_form(poly: FreePoly, rels: RelationSet, order: WeightedOrder) -> Free
         raise InputError("normal_form order differs from the relation set's order")
     def rewrite(word: Word):
         # word = prefix . lm . suffix equals prefix . (-tail) . suffix
-        for lm, neg_tail in rels.rewrites:
+        for lm, rel in rels.rewrites:
             pos = find_subword(word, lm)
             if pos >= 0:
                 prefix, suffix = word[:pos], word[pos + len(lm):]
-                return [(prefix + t + suffix, c) for t, c in neg_tail]
+                return [(prefix + t + suffix, -c) for t, c in rel.terms.items() if t != lm]
         return None
 
     return FreePoly._raw(rewrite_terms(poly.terms, order.key, rewrite))
@@ -315,9 +320,8 @@ def s_elements(g: FreePoly, h: FreePoly, order: WeightedOrder) -> list[tuple[Wor
     g*s - p*h; its two leading terms cancel, so a nonzero reduced remainder
     witnesses a genuinely new ideal element.
     """
-    u, _ = leading(g, order)
-    v, _ = leading(h, order)
-    gm, hm = monic(g, order), monic(h, order)
+    (u, a), (v, b) = leading(g, order), leading(h, order)
+    gm, hm = (g if a == 1 else g * (1 / a)), (h if b == 1 else h * (1 / b))
     out = []
     for p, s in _overlap_windows(u, v, same=g is h):
         elem = gm * FreePoly.word(s) - FreePoly.word(p) * hm

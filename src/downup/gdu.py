@@ -203,7 +203,7 @@ PRESETS = {
 }
 
 
-def preset(name: str, scheme: Optional[str] = None, **kwargs) -> GDUAlgebra:
+def preset(name: str, /, scheme: Optional[str] = None, **kwargs) -> GDUAlgebra:
     """Build a named member of the family; see PRESETS for the argument docs.
     The scheme defaults to all-ones when deg f <= 2 and deg-f otherwise."""
     if not isinstance(name, str) or name not in PRESETS:
@@ -232,29 +232,26 @@ def solvable_from_relations(relations: RelationSet, gen_names: Sequence[str],
 
     The PBW generator sequence is the precedence of ``relations.order``
     (smallest first), and ``weights`` are listed in that sequence.  For each
-    pair the relation with leading word a_j*a_i is rewritten as
+    pair the rule of ``relations.rewrites`` with leading word a_j*a_i reads
     a_j*a_i = lam*a_i*a_j + f with f expressed in the PBW basis; tails that
     are not PBW-sorted, and tables that fail :func:`verify_solvable`, are
     rejected with CertificationError.
     """
     sequence = relations.order.precedence
     names = tuple(gen_names[g] for g in sequence)
-    by_lm = dict(zip(relations.leading_words, relations.polys))
+    by_lm = dict(relations.rewrites)
     rules = []
     for pj in range(len(sequence)):
         for pi in range(pj):
-            gj, gi = sequence[pj], sequence[pi]
-            pair_word = (gj, gi)
-            rel = by_lm.get(pair_word)
+            pair_word, swap = (sequence[pj], sequence[pi]), (sequence[pi], sequence[pj])
+            rel = by_lm.get(pair_word)  # a_j a_i = -(the tail of rel)
             if rel is None:
                 raise CertificationError(
                     f"no relation with leading word {names[pi]}-after-{names[pj]}")
-            rhs = FreePoly.word(pair_word) - rel  # a_j a_i = rhs
-            swap = (gi, gj)
-            lam = rhs.coeff(swap)
+            lam = -rel.coeff(swap)
             try:
-                f_terms = {exponent_of_word(word, sequence): coeff
-                           for word, coeff in rhs.terms.items() if word != swap}
+                f_terms = {exponent_of_word(w, sequence): -c
+                           for w, c in rel.terms.items() if w not in (pair_word, swap)}
             except InputError as exc:
                 raise CertificationError(f"relation tail: {exc}") from exc
             rules.append(CommutationRule(pj, pi, lam, PBWPoly(f_terms)))

@@ -313,7 +313,7 @@ def nf_left(alg: SolvableAlgebra, p: PBWPoly, basis: Sequence[PBWPoly]) -> PBWPo
         if hit is None:
             return None
         sigma = tuple(a - b for a, b in zip(exp, lms[hit]))
-        h = alg.multiply(alg.monomial(sigma), basis[hit])
+        h = alg.multiply(PBWPoly._raw({sigma: Fraction(1)}), basis[hit])
         rho = h.coeff(exp)
         # exp = (h - rest of h) / rho, and h lies in the left ideal
         return [(e, -c / rho) for e, c in h.terms.items() if e != exp]
@@ -326,8 +326,9 @@ def _left_spoly(alg: SolvableAlgebra, g1: PBWPoly, g2: PBWPoly) -> PBWPoly:
     lm1, _ = leading(g1, order)
     lm2, _ = leading(g2, order)
     lcm = tuple(max(a, b) for a, b in zip(lm1, lm2))
-    h1 = alg.multiply(alg.monomial(tuple(a - b for a, b in zip(lcm, lm1))), g1)
-    h2 = alg.multiply(alg.monomial(tuple(a - b for a, b in zip(lcm, lm2))), g2)
+    sigma1, sigma2 = (tuple(a - b for a, b in zip(lcm, lm)) for lm in (lm1, lm2))
+    h1 = alg.multiply(PBWPoly._raw({sigma1: Fraction(1)}), g1)
+    h2 = alg.multiply(PBWPoly._raw({sigma2: Fraction(1)}), g2)
     return (1 / h1.coeff(lcm)) * h1 - (1 / h2.coeff(lcm)) * h2
 
 

@@ -1,5 +1,7 @@
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -7,12 +9,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import downup
 from downup.cli import (algebra_from_spec, cmd_certify, cmd_graded, load_spec_file,
                         main, spec_to_dict)
 from downup.errors import InputError
 from downup.freealg import hilbert
+from downup.gdu import PRESETS
 from downup.report import FAIL, PASS, Report
 
 
@@ -101,6 +105,63 @@ def test_spec_file_errors_carry_position(tmp_path):
     with pytest.raises(InputError) as err:
         load_spec_file(str(path))
     assert ":2:" in str(err.value)
+
+
+def test_spec_numbers_are_integers_or_p_over_q_strings(tmp_path, capsys):
+    for value in ("0.5", "1_000", "1e3", " 2"):
+        assert main(["certify", "--spec", write_spec(tmp_path, dict(SL2_DOC, **{
+            "lambda": value}))]) == 2, value
+        assert "not an exact rational" in capsys.readouterr().err
+    assert main(["nf", "--spec", write_spec(tmp_path, dict(SL2_DOC, **{
+        "lambda": "-3/2"})), "X1*X2", "--format", "machine"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"][0]["detail"]["normal_form"] == "-3/2*X2*X1 - 2*X2"
+
+
+def test_spec_exponent_notation_is_rejected_before_any_arithmetic(tmp_path):
+    # "1e999999999" used to reach Fraction, which computed 10^999999999
+    spec = write_spec(tmp_path, dict(SL2_DOC, **{"lambda": "1e999999999"}))
+    env = dict(os.environ, PYTHONPATH=str(Path(downup.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "downup.cli", "certify", "--spec", spec],
+                          capture_output=True, text=True, env=env, timeout=5)
+    assert done.returncode == 2
+    assert "not an exact rational" in done.stderr
+
+
+def test_spec_file_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"preset": "sl2\xff"}')
+    assert main(["certify", "--spec", str(path)]) == 2
+    assert "can't decode" in capsys.readouterr().err
+
+
+def test_preset_args_may_name_any_key(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"preset": "sl2", "args": {"name": "sl2"}})
+    assert main(["certify", "--spec", spec]) == 2
+    assert "bad arguments for preset 'sl2'" in capsys.readouterr().err
+
+
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "9" * (INT_DIGIT_LIMIT + 1)
+needs_digit_limit = pytest.mark.skipif(
+    not INT_DIGIT_LIMIT, reason="this interpreter converts integer strings of any length")
+
+
+@needs_digit_limit
+def test_spec_integer_past_the_digit_limit_is_input_error(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(SL2_DOC).replace('"lambda": 1', f'"lambda": {TOO_LONG}'))
+    assert main(["certify", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("expression", [f"{TOO_LONG}*X1", f"X1^{TOO_LONG}"],
+                         ids=["coefficient", "exponent"])
+def test_expression_integer_past_the_digit_limit_is_input_error(tmp_path, capsys,
+                                                                expression):
+    assert main(["nf", "--spec", write_spec(tmp_path, SL2_DOC), expression]) == 2
+    assert "integer literal too long at column" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- exit codes
@@ -355,3 +416,83 @@ def test_certify_report_has_every_check_once(tmp_path):
     assert names == ["groebner-basis", "pbw-counts", "solvable-axioms",
                      "ordering-axioms", "product-agreement"]
     assert len(set(names)) == len(names)
+
+
+# ----------------------------------------------------------- contract fuzzer
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+RATIONALS = st.integers(-3, 3) | st.sampled_from(["1/2", "-3/2"])
+SPEC_VALUES = {
+    "lambda": RATIONALS, "omega": RATIONALS, "gamma": RATIONALS,
+    "f": st.lists(RATIONALS, min_size=1, max_size=4),
+    "scheme": st.sampled_from(["all-ones", "deg-f"]),
+    "preset": st.sampled_from(sorted(PRESETS)),
+    "args": st.dictionaries(st.sampled_from(
+        ["zeta", "b", "lam", "omega", "gamma", "alpha", "beta", "f", "scheme", "name"]),
+        RATIONALS | st.lists(RATIONALS, min_size=1, max_size=3) | JSON_VALUES, max_size=3),
+    "colour": JSON_VALUES,
+}
+# well-formed explicit and preset specs, and any mix of keys and values
+SPEC_TEXTS = st.one_of(
+    st.fixed_dictionaries({k: SPEC_VALUES[k] for k in ("lambda", "omega", "gamma", "f",
+                                                          "scheme")}),
+    st.fixed_dictionaries({"preset": SPEC_VALUES["preset"]},
+                          optional={k: SPEC_VALUES[k] for k in ("args", "scheme")}),
+    st.fixed_dictionaries({}, optional={k: v | JSON_VALUES for k, v in SPEC_VALUES.items()}),
+).map(json.dumps)
+# at most 6 generator letters and one "^2": no expansion outgrows a few terms
+EXPR_TOKENS = ["X1", "X2", "X3", "X1", "X2", "X3", "T", "X4", "2", "1/2", "0", "3/0",
+               "+", "-", "*", "*", "*", "(", ")", "^2", "^0", "?"]
+EXPRESSIONS = st.lists(st.sampled_from(EXPR_TOKENS), min_size=1, max_size=10).filter(
+    lambda toks: sum(t[0] in "XT" for t in toks) <= 6 and toks.count("^2") <= 1
+).map(" ".join)
+COMMANDS = (st.just(["certify"]) | st.just(["presets", "list"])
+            | EXPRESSIONS.map(lambda e: ["nf", e])
+            | EXPRESSIONS.map(lambda e: ["nf", "--homogenized", e])
+            | st.sampled_from(["assoc", "homogenize", "hilbert", "gk", "rees",
+                               "quadratic"]).map(lambda sub: ["graded", sub]))
+SL2_TEXT = json.dumps(SL2_DOC)
+
+
+def literal_examples(test):
+    """The spec and expression literals that once escaped as tracebacks or
+    hung; the over-long integers only where the interpreter limits them.
+    Hypothesis runs explicit examples last to first and, with
+    report_multiple_bugs off, stops at the first failure, so a build that
+    still hangs on "1e999999999" fails on a traceback before reaching it."""
+    cases = [(SL2_TEXT.replace('1, "omega"', '"1e999999999", "omega"'), ["certify"]),
+             (SL2_TEXT.replace('1, "omega"', '"0.5", "omega"'), ["certify"]),
+             ('{"preset": "sl2", "args": {"name": 1}}', ["certify"])]
+    if INT_DIGIT_LIMIT:
+        cases += [(SL2_TEXT.replace('1, "omega"', f'{TOO_LONG}, "omega"'), ["certify"]),
+                  (SL2_TEXT, ["nf", f"{TOO_LONG}*X1"]), (SL2_TEXT, ["nf", f"X1^{TOO_LONG}"])]
+    for spec_text, command in cases:
+        test = example(spec_text, command, "machine")(test)
+    return test
+
+
+@pytest.fixture(scope="module")
+def fuzz_spec_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "spec.json"
+
+
+@literal_examples
+@given(SPEC_TEXTS, COMMANDS, st.sampled_from(["text", "machine"]))
+@settings(max_examples=200, deadline=None, report_multiple_bugs=False)
+def test_main_keeps_the_exit_code_contract(fuzz_spec_path, spec_text, command, fmt):
+    fuzz_spec_path.write_text(spec_text, encoding="utf-8")
+    spec = [] if command[0] == "presets" else ["--spec", str(fuzz_spec_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(command + spec + ["--format", fmt])
+        except SystemExit as exc:  # argparse rejected the command line
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if fmt == "machine" and code != 2:
+        json.loads(out.getvalue())

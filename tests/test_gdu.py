@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from downup.errors import CertificationError, HypothesisError, InputError
-from downup.freealg import FreePoly, RelationSet, WeightedOrder, series_coefficients
+from downup.freealg import (FreePoly, RelationSet, WeightedOrder, normal_form,
+                            series_coefficients)
 from downup.gdu import (X1, X2, X3, GDUParams, WeightScheme, build, check_pbw,
                         defining_relations, exponent_of_normal_word,
                         normal_word_of_exponent, preset,
@@ -209,6 +210,18 @@ def test_solvable_from_relations_reads_the_sequence_off_the_order():
     sol = solvable_from_relations(rels, ("x0", "x1"), weights=(1, 1))
     assert sol.names == ("x1", "x0")
     rule = sol.rules[(1, 0)]
+    assert (rule.lam, rule.f.terms) == (1, {(1, 0): 1})
+
+
+def test_solvable_from_relations_and_normal_form_read_one_rule():
+    # two relations share the leading word x0*x1; both readings use the first
+    order = WeightedOrder((1, 1), (1, 0))
+    first = FreePoly({(0, 1): 1, (1, 0): -1, (1,): -1})
+    rels = RelationSet([first, FreePoly({(0, 1): 1, (1, 0): -2})], order)
+    assert rels.rewrites == (((0, 1), first),)
+    assert rels.rewrites[0][1] is rels.polys[0]
+    assert normal_form(FreePoly.word((0, 1)), rels, order) == FreePoly({(1, 0): 1, (1,): 1})
+    rule = solvable_from_relations(rels, ("x0", "x1"), weights=(1, 1)).rules[(1, 0)]
     assert (rule.lam, rule.f.terms) == (1, {(1, 0): 1})
 
 
