@@ -183,13 +183,12 @@ def cmd_graded(alg: GDUAlgebra, subcommand: str, degree: Optional[int]) -> Repor
         for note in homog.notes:
             report.note(note)
     elif subcommand == "hilbert":
-        cap = degree if degree is not None else HILBERT_DEGREE_DEFAULT
         homog = graded.homogenize_algebra(alg)
-        dims = homog.dims(cap)
+        dims = homog.dims(degree)
         weights = homog.order.weights
         form = graded.series_form(weights)
         report.add("hilbert", PASS if dims.ok else FAIL,
-                   f"coefficients match the expansion of {form} up to degree {cap}",
+                   f"coefficients match the expansion of {form} up to degree {degree}",
                    coefficients=tuple(n for _, n, _ in dims.rows), closed_form=form,
                    uniform_weight_form="1/(1-t)^4")
         if any(w != 1 for w in weights):
@@ -204,12 +203,11 @@ def cmd_graded(alg: GDUAlgebra, subcommand: str, degree: Optional[int]) -> Repor
                    f"algebra growth {growth3}, homogenized growth {growth4}",
                    algebra=growth3, homogenized=growth4)
     elif subcommand == "rees":
-        cap = degree if degree is not None else REES_DEGREE_DEFAULT
         homog = graded.homogenize_algebra(alg)
-        rees = graded.rees_dims(alg, homog, cap)
+        rees = graded.rees_dims(alg, homog, degree)
         report.add("rees-dimensions", PASS if rees.ok else FAIL,
                    f"homogenized dimensions equal filtration dimensions up "
-                   f"to degree {cap}", rows=rees.rows)
+                   f"to degree {degree}", rows=rees.rows)
     elif subcommand == "quadratic":
         homog = graded.homogenize_algebra(alg)
         value = graded.quadratic_check(homog.relations, homog.order.weights)

@@ -161,7 +161,10 @@ class SparsePoly:
         return self._raw(add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
-        return self + (-other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():  # in place, with no negated copy of other
+            out[m] = out.get(m, 0) - c
+        return self._raw({m: c for m, c in out.items() if c})
 
     def __mul__(self, other):
         c = scalar(other)
@@ -250,8 +253,7 @@ class RelationSet:
         normalized.sort(key=lambda item: order.key(item[0]))
         self.polys: tuple[FreePoly, ...] = tuple(q for _, q in normalized)
         self.leading_words: tuple[Word, ...] = tuple(lm for lm, _ in normalized)
-        # a monic relation lm + tail rewrites lm to -tail: one (lm, relation)
-        # pair per leading word, the first relation that has it, largest first
+        # per leading word the first relation that has it, largest word first
         rules: dict[Word, FreePoly] = {}
         for lm, q in normalized:
             rules.setdefault(lm, q)
@@ -286,15 +288,20 @@ def normal_form(poly: FreePoly, rels: RelationSet, order: WeightedOrder) -> Free
             order.weights, order.precedence) == (rels.order.weights, rels.order.precedence)):
         raise InputError("normal_form order differs from the relation set's order")
     def rewrite(word: Word):
-        # word = prefix . lm . suffix equals prefix . (-tail) . suffix
-        for lm, rel in rels.rewrites:
+        for lm, rel in rels.rewrites:  # rel is monic, so its multiple is 1 at word
             pos = find_subword(word, lm)
             if pos >= 0:
-                prefix, suffix = word[:pos], word[pos + len(lm):]
-                return [(prefix + t + suffix, -c) for t, c in rel.terms.items() if t != lm]
+                return _monic_multiple(word[:pos], rel, word[pos + len(lm):], 1).terms
         return None
 
     return FreePoly._raw(rewrite_terms(poly.terms, order.key, rewrite))
+
+
+def _monic_multiple(prefix: Word, g: FreePoly, suffix: Word, lc: Fraction) -> FreePoly:
+    """prefix . g . suffix / lc, with lc = LC(g): monic at prefix . LM(g) . suffix."""
+    if lc == 1:
+        return FreePoly._raw({prefix + t + suffix: c for t, c in g.terms.items()})
+    return FreePoly._raw({prefix + t + suffix: c / lc for t, c in g.terms.items()})
 
 
 def _overlap_windows(u: Word, v: Word, same: bool) -> Iterator[tuple[Word, Word]]:
@@ -321,12 +328,8 @@ def s_elements(g: FreePoly, h: FreePoly, order: WeightedOrder) -> list[tuple[Wor
     witnesses a genuinely new ideal element.
     """
     (u, a), (v, b) = leading(g, order), leading(h, order)
-    gm, hm = (g if a == 1 else g * (1 / a)), (h if b == 1 else h * (1 / b))
-    out = []
-    for p, s in _overlap_windows(u, v, same=g is h):
-        elem = gm * FreePoly.word(s) - FreePoly.word(p) * hm
-        out.append((u + s, elem))
-    return out
+    return [(u + s, _monic_multiple(EMPTY, g, s, a) - _monic_multiple(p, h, EMPTY, b))
+            for p, s in _overlap_windows(u, v, same=g is h)]
 
 
 @dataclass(frozen=True)
@@ -419,21 +422,21 @@ class Presentation:
 def rewrite_terms(terms: Mapping[tuple, Fraction], key, rewrite) -> dict[tuple, Fraction]:
     """Rewrite the key-largest term until no term is rewritable.
 
-    ``rewrite(mono)`` returns None for an irreducible monomial, or the
-    (monomial, coefficient) terms that ``mono`` equals modulo the ideal; each
-    must precede ``mono`` in the order, so the loop terminates.  Returns the
-    term dict of the irreducible remainder.
+    ``rewrite(mono)`` returns None for an irreducible monomial, or the stored
+    terms of an ideal element whose coefficient at ``mono`` is 1 and whose
+    other monomials all precede ``mono``: c * mono becomes -c times those
+    others, so the loop terminates.  Returns the irreducible remainder's terms.
     """
     work = dict(terms)
     done: dict[tuple, Fraction] = {}
     while work:
         mono = max(work, key=key)
         coeff = work.pop(mono)
-        replacement = rewrite(mono)
-        if replacement is None:  # popped monomials strictly decrease
+        multiple = rewrite(mono)
+        if multiple is None:  # popped monomials strictly decrease
             done[mono] = coeff
             continue
-        add_terms(work, replacement, coeff)
+        add_terms(work, ((m, c) for m, c in multiple.items() if m != mono), -coeff)
     return done
 
 

@@ -107,9 +107,6 @@ class GDUAlgebra(Presentation):
     def x2_weight(self) -> int:
         return self.order.weights[X2]
 
-    def supports_graded(self) -> bool:
-        return self.deg_f >= 1
-
     def __repr__(self):
         p = self.params
         return (f"GDUAlgebra(lambda={p.lam}, omega={p.omega}, gamma={p.gamma}, "

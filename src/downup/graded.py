@@ -89,7 +89,7 @@ def ufn_growth(mono: MonomialAlgebra) -> Union[int, str]:
 def assoc_graded(alg: GDUAlgebra) -> Presentation:
     """The associated graded algebra, presented by the leading homogeneous
     parts of the relations and certified as a homogeneous Groebner basis."""
-    if not alg.supports_graded():
+    if alg.deg_f < 1:
         raise HypothesisError("graded structure requires deg f >= 1")
     lh = [leading_homogeneous(g, alg.order.weights) for g in alg.relations]
     return Presentation(alg.gen_names, alg.order, lh, "leading homogeneous parts")
@@ -146,10 +146,9 @@ class HomogenizedAlgebra(Presentation):
 
 def homogenize_algebra(alg: GDUAlgebra) -> HomogenizedAlgebra:
     """Homogenize the defining relations with a central T and certify."""
-    if not alg.supports_graded():
+    if alg.deg_f < 1:
         raise HypothesisError("homogenization requires deg f >= 1")
-    nw = alg.x2_weight
-    order = WeightedOrder((1, nw, nw, 1), HOMOG_PRECEDENCE)
+    order = WeightedOrder(alg.order.weights + (1,), HOMOG_PRECEDENCE)
     hrels = [homogenize_poly(g, alg.order.weights) for g in alg.relations]
     hrels += [FreePoly({(i, T): 1, (T, i): -1}) for i in (X1, X2, X3)]
     notes = alg.notes

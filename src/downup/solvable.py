@@ -301,6 +301,15 @@ def _divides(d: Exponent, e: Exponent) -> bool:
     return all(a <= b for a, b in zip(d, e))
 
 
+def _monic_multiple(alg: SolvableAlgebra, g: PBWPoly, lm: Exponent,
+                    target: Exponent) -> PBWPoly:
+    """a^(target - lm) * g, with lm = LM(g), divided by its coefficient at target."""
+    sigma = tuple(a - b for a, b in zip(target, lm))
+    h = alg.multiply(PBWPoly._raw({sigma: Fraction(1)}), g)
+    rho = h.terms[target]
+    return h if rho == 1 else PBWPoly._raw({e: c / rho for e, c in h.terms.items()})
+
+
 def nf_left(alg: SolvableAlgebra, p: PBWPoly, basis: Sequence[PBWPoly]) -> PBWPoly:
     """Left normal form: no term of the remainder is left-divisible by any
     basis leading monomial.  ``p`` lies in the left ideal iff the result is 0."""
@@ -310,26 +319,15 @@ def nf_left(alg: SolvableAlgebra, p: PBWPoly, basis: Sequence[PBWPoly]) -> PBWPo
 
     def rewrite(exp: Exponent):
         hit = next((t for t, lm in enumerate(lms) if _divides(lm, exp)), None)
-        if hit is None:
-            return None
-        sigma = tuple(a - b for a, b in zip(exp, lms[hit]))
-        h = alg.multiply(PBWPoly._raw({sigma: Fraction(1)}), basis[hit])
-        rho = h.coeff(exp)
-        # exp = (h - rest of h) / rho, and h lies in the left ideal
-        return [(e, -c / rho) for e, c in h.terms.items() if e != exp]
+        return None if hit is None else _monic_multiple(alg, basis[hit], lms[hit], exp).terms
 
     return PBWPoly._raw(rewrite_terms(p.terms, order.key, rewrite))
 
 
 def _left_spoly(alg: SolvableAlgebra, g1: PBWPoly, g2: PBWPoly) -> PBWPoly:
-    order = alg.order
-    lm1, _ = leading(g1, order)
-    lm2, _ = leading(g2, order)
+    (lm1, _), (lm2, _) = leading(g1, alg.order), leading(g2, alg.order)
     lcm = tuple(max(a, b) for a, b in zip(lm1, lm2))
-    sigma1, sigma2 = (tuple(a - b for a, b in zip(lcm, lm)) for lm in (lm1, lm2))
-    h1 = alg.multiply(PBWPoly._raw({sigma1: Fraction(1)}), g1)
-    h2 = alg.multiply(PBWPoly._raw({sigma2: Fraction(1)}), g2)
-    return (1 / h1.coeff(lcm)) * h1 - (1 / h2.coeff(lcm)) * h2
+    return _monic_multiple(alg, g1, lm1, lcm) - _monic_multiple(alg, g2, lm2, lcm)
 
 
 def interreduce_left(alg: SolvableAlgebra, polys: Sequence[PBWPoly]) -> list[PBWPoly]:
@@ -349,8 +347,7 @@ def left_buchberger(alg: SolvableAlgebra, gens: Iterable[PBWPoly]) -> list[PBWPo
     basis = [monic(g, order) for g in gens if not g.is_zero()]
     alg.check_exponents(basis)
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        i, j = pairs.pop(0)
+    for i, j in pairs:  # first in, first out: the list grows while it is walked
         rem = nf_left(alg, _left_spoly(alg, basis[i], basis[j]), basis)
         if rem.is_zero():
             continue

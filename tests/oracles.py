@@ -122,9 +122,8 @@ def normal_form_by_compare(poly: FreePoly, rels: RelationSet,
                     best = (lm, pos, rel)
         if best is None:
             return None
-        lm, pos, rel = best
-        return [(word[:pos] + t + word[pos + len(lm):], -c)
-                for t, c in rel.terms.items() if t != lm]
+        lm, pos, rel = best  # rel is monic, so the multiple has coefficient 1 at word
+        return {word[:pos] + t + word[pos + len(lm):]: c for t, c in rel.terms.items()}
 
     return FreePoly(rewrite_terms(poly.terms, order.key, rewrite))
 

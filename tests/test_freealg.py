@@ -259,9 +259,11 @@ def test_normal_form_matches_compare_strategy(rels, word_list):
 
 def test_s_elements_g31_g12_single_window():
     r31, r12, _ = sl2_relations()
-    found = [elem for _, elem in s_elements(r31, r12, ORDER111)]
     expected = r31 * FreePoly.word((1,)) - FreePoly.word((2,)) * r12
-    assert found == [expected]
+    # each operand is made monic first, so its scale does not matter
+    for g, h in ((r31, r12), (2 * r31, Fraction(-3, 2) * r12)):
+        found = [elem for _, elem in s_elements(g, h, ORDER111)]
+        assert found == [expected]
 
 
 def test_s_elements_g12_g31_empty():

@@ -411,6 +411,37 @@ def test_left_membership_matches_linear_oracle(sl2_solvable, conformal_degf):
         assert members > 0
 
 
+NOT_MONIC_TABLES = {  # lambda != 1: a left multiple m . g is not monic at LM(m) + LM(g)
+    "woronowicz": ("woronowicz", {}),
+    "conformal-lam2": TABLE_PRESETS["conformal-lam2"],
+    "down_up-lam2": ("down_up", {"alpha": 1, "beta": 2, "gamma": 1}),  # lambda 2, omega -1
+}
+
+
+@pytest.mark.parametrize("name", NOT_MONIC_TABLES)
+def test_left_membership_where_multiples_are_not_monic(name):
+    family, args = NOT_MONIC_TABLES[name]
+    alg = to_solvable(preset(family, **args))
+    a2, a1, a3 = (alg.generator(k) for k in range(alg.ngens))
+    rng = random.Random(41)
+    low = exponents_up_to(alg.weights, 4)
+    for gens in ([a1], [a1, alg.multiply(a2, a2)], [a2 + a1, a3]):
+        basis = left_buchberger(alg, gens)
+        span = left_span(alg, gens, 6)
+        # cofactor monomials stay inside the oracle's degree-6 window
+        cofactors = [exponents_up_to(
+            alg.weights, 6 - alg.order.degree(leading_exp(g, alg.order)[0])) for g in gens]
+        for _ in range(12):
+            member = PBWPoly()
+            for g, monos in zip(gens, cofactors):
+                cofactor = alg.monomial(rng.choice(monos), rng.randint(1, 2))
+                member = member + alg.multiply(cofactor, g)
+            assert nf_left(alg, member, basis).is_zero()
+            p = PBWPoly({rng.choice(low): Fraction(rng.randint(-2, 2))
+                         for _ in range(rng.randint(1, 3))})
+            assert nf_left(alg, p, basis).is_zero() == span.contains(dict(p.terms))
+
+
 def test_left_basis_interreduced_and_sorted(sl2_solvable):
     gens = [sl2_solvable.generator(0) + sl2_solvable.generator(1) * 3,
             sl2_solvable.generator(2)]
